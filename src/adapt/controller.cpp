@@ -8,8 +8,6 @@
 #include "common/units.hpp"
 #include "network/network.hpp"
 #include "rf/ber.hpp"
-#include "topology/own.hpp"
-#include "wireless/channel_alloc.hpp"
 
 namespace ownsim::adapt {
 namespace {
@@ -82,14 +80,9 @@ AdaptController::AdaptController(Network* network, AdaptConfig config,
     e.routers = {link.src_router, link.dst_router};
     e.governor = Governor(gp);
     e.base_cpf = link.cycles_per_flit;
-    if (e.wireless && spec.num_routers() == 64 && link.wireless_channel >= 0) {
-      for (const OwnChannel& ch : own256_channels()) {
-        if (ch.id == link.wireless_channel) {
-          e.src_cluster = ch.src_cluster;
-          e.dst_cluster = ch.dst_cluster;
-          break;
-        }
-      }
+    if (const auto pair = own256_link_clusters(spec, i)) {
+      e.src_cluster = pair->first;
+      e.dst_cluster = pair->second;
     }
     entities_.push_back(std::move(e));
   }
@@ -278,8 +271,7 @@ void AdaptController::step_realloc(Entity& e, double raw_margin_db) {
         return;  // no alive transit: nothing to re-allocate onto
       }
       realloc_pairs_.emplace_back(e.src_cluster, e.dst_cluster);
-      faults_ = FaultSet(realloc_pairs_);
-      patch_routes();
+      patch_own256_routes(*network_, FaultSet(realloc_pairs_));
       e.reallocated = true;
       ++reallocations_;
       obs_reallocations_.inc();
@@ -290,38 +282,12 @@ void AdaptController::step_realloc(Entity& e, double raw_margin_db) {
       e.realloc_high = 0;
       std::erase(realloc_pairs_,
                  std::make_pair(e.src_cluster, e.dst_cluster));
-      faults_ = FaultSet(realloc_pairs_);
-      patch_routes();
+      patch_own256_routes(*network_, FaultSet(realloc_pairs_));
       e.reallocated = false;
     }
   } else {
     e.realloc_low = 0;
     e.realloc_high = 0;
-  }
-}
-
-void AdaptController::patch_routes() {
-  // Same diff-and-set as the campaign's persistent-failure detector: write
-  // back only the entries that changed under the updated fault set.
-  const int num_routers = network_->spec().num_routers();
-  for (RouterId r = 0; r < num_routers; ++r) {
-    for (RouterId d = 0; d < num_routers; ++d) {
-      if (d == r) continue;
-      const int rc = r / kOwnTilesPerCluster;
-      const int dc = d / kOwnTilesPerCluster;
-      if (rc != dc && faults_.is_failed(rc, dc) &&
-          faults_.transit_for(rc, dc) < 0) {
-        continue;  // unrecoverable pair: keep the stale route
-      }
-      const RouteEntry fresh = own256_fault_route_entry(r, d, faults_);
-      const RouteEntry& current =
-          network_->spec().route_table[static_cast<std::size_t>(r)]
-                                      [static_cast<std::size_t>(d)];
-      if (current.out_port != fresh.out_port ||
-          current.vc_class != fresh.vc_class) {
-        network_->set_route(r, d, fresh);
-      }
-    }
   }
 }
 

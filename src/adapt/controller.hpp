@@ -21,7 +21,7 @@
 //   4. when `react`: steps the per-entity hysteresis Governor (rate
 //      backoff: cycles_per_flit x (level+1) buys backoff_gain dB/level),
 //      re-allocates OWN-256 cluster pairs whose margin collapses even at
-//      full backoff (route patching via own256_fault_route_entry, reversible
+//      full backoff (route patching via patch_own256_routes, reversible
 //      with its own hysteresis band), and accrues photonic ring trimming
 //      power, charged into the energy model post-run.
 #pragma once
@@ -99,7 +99,6 @@ class AdaptController final : public Clocked {
   void refresh(Cycle now);
   void step_wireless(Entity& entity, double raw_margin_db);
   void step_realloc(Entity& entity, double raw_margin_db);
-  void patch_routes();
 
   Network* network_;
   AdaptConfig config_;
@@ -116,8 +115,7 @@ class AdaptController final : public Clocked {
   std::vector<double> static_w_;
 
   bool own256_mode_ = false;  ///< 5-class OWN-256: re-allocation possible
-  std::vector<std::pair<int, int>> realloc_pairs_;
-  FaultSet faults_;
+  std::vector<std::pair<int, int>> realloc_pairs_;  ///< re-allocated pairs
 
   Cycle next_refresh_ = 0;
   Cycle last_refresh_ = 0;

@@ -13,7 +13,7 @@ namespace {
 using serve::Json;
 
 /// Bump on any change to simulated results or the stored payload layout.
-constexpr char kCodeVersionTag[] = "ownsim-2026.08-serve2";
+constexpr char kCodeVersionTag[] = "ownsim-2026.08-serve3";
 
 const char* to_string(fault::EventKind kind) {
   switch (kind) {

@@ -117,21 +117,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   if (adapt_ctl != nullptr) {
     result.adapt = adapt_ctl->totals();
     if (campaign == nullptr) {
-      // Adapt-only runs still corrupt flits through the live-BER path; fold
-      // the link-layer totals in so the result reflects them (the campaign
-      // already does this through its own totals()).
-      for (std::size_t i = 0; i < network.num_network_channels(); ++i) {
-        const LinkFaultCounters& fc =
-            network.network_channel(i).fault_counters();
-        result.fault.crc_errors += fc.crc_errors;
-        result.fault.retransmissions += fc.retransmissions;
-      }
-      for (std::size_t m = 0; m < network.num_media(); ++m) {
-        const MediumCounters& mc = network.medium(m).counters();
-        result.fault.crc_errors += mc.crc_errors;
-        result.fault.retransmissions += mc.retransmissions;
-        result.fault.token_recoveries += mc.token_recoveries;
-      }
+      // Adapt-only runs still corrupt flits through the live-BER path; the
+      // result reports them as a campaign would.
+      result.fault = fault::link_layer_totals(network);
     }
   }
 

@@ -8,13 +8,9 @@
 #include "common/rng.hpp"
 #include "network/network.hpp"
 #include "rf/ber.hpp"
-#include "topology/own.hpp"
-#include "wireless/channel_alloc.hpp"
 
 namespace ownsim::fault {
 namespace {
-
-constexpr std::size_t kUnmapped = static_cast<std::size_t>(-1);
 
 // Sub-stream ids carved out of the campaign seed (common/rng.hpp
 // derive_seed). Channels and media get disjoint blocks; 7 feeds the
@@ -44,24 +40,10 @@ FaultCampaign::FaultCampaign(Network* network, CampaignConfig config)
   protocol_.max_backoff_exp = config_.max_backoff_exp;
   protocol_.max_attempts = config_.max_attempts;
 
-  for (auto& row : pair_link_) {
-    for (auto& slot : row) slot = kUnmapped;
-  }
   const NetworkSpec& spec = network_->spec();
   for (std::size_t i = 0; i < spec.links.size(); ++i) {
-    if (spec.links[i].medium != MediumType::kWireless) continue;
-    wireless_links_.push_back(i);
-    if (spec.num_routers() != 64 || spec.links[i].wireless_channel < 0) {
-      continue;
-    }
-    // OWN-256: LinkSpec::wireless_channel is the Table I channel id, which
-    // identifies the cluster pair.
-    for (const OwnChannel& ch : own256_channels()) {
-      if (ch.id == spec.links[i].wireless_channel) {
-        pair_link_[ch.src_cluster][ch.dst_cluster] = i;
-        own256_mode_ = true;
-        break;
-      }
+    if (spec.links[i].medium == MediumType::kWireless) {
+      wireless_links_.push_back(i);
     }
   }
 
@@ -202,14 +184,15 @@ void FaultCampaign::eval(Cycle now) {
 
 std::size_t FaultCampaign::channel_for(int src_cluster,
                                        int dst_cluster) const {
-  if (src_cluster < 0 || src_cluster > 3 || dst_cluster < 0 ||
-      dst_cluster > 3 || src_cluster == dst_cluster || !own256_mode_ ||
-      pair_link_[src_cluster][dst_cluster] == kUnmapped) {
-    throw std::invalid_argument(
-        "FaultCampaign: no wireless channel for cluster pair " +
-        std::to_string(src_cluster) + "->" + std::to_string(dst_cluster));
+  for (const std::size_t i : wireless_links_) {
+    if (own256_link_clusters(network_->spec(), i) ==
+        std::make_pair(src_cluster, dst_cluster)) {
+      return i;
+    }
   }
-  return pair_link_[src_cluster][dst_cluster];
+  throw std::invalid_argument(
+      "FaultCampaign: no wireless channel for cluster pair " +
+      std::to_string(src_cluster) + "->" + std::to_string(dst_cluster));
 }
 
 void FaultCampaign::apply(const Event& event, Cycle now) {
@@ -259,35 +242,10 @@ void FaultCampaign::apply(const Event& event, Cycle now) {
 void FaultCampaign::detect(int src_cluster, int dst_cluster) {
   if (faults_.is_failed(src_cluster, dst_cluster)) return;
   faults_.fail(src_cluster, dst_cluster);
-  // Online route patch: recompute every (router, destination) entry under
-  // the updated fault set and write back only the changes. The routing
-  // oracle reads the live table, so rerouting takes effect at the next
-  // route computation; in-network packets keep their already-computed path
-  // (they still drain — a dying channel never drops flits).
-  const int num_routers = network_->spec().num_routers();
-  std::int64_t changed = 0;
-  for (RouterId r = 0; r < num_routers; ++r) {
-    for (RouterId d = 0; d < num_routers; ++d) {
-      if (d == r) continue;
-      const int rc = r / kOwnTilesPerCluster;
-      const int dc = d / kOwnTilesPerCluster;
-      if (rc != dc && faults_.is_failed(rc, dc) &&
-          faults_.transit_for(rc, dc) < 0) {
-        // Unrecoverable pair (no alive transit): keep the stale route; the
-        // dying channel still delivers, just at the exhausted-backoff rate.
-        continue;
-      }
-      const RouteEntry fresh = own256_fault_route_entry(r, d, faults_);
-      const RouteEntry& current =
-          network_->spec().route_table[static_cast<std::size_t>(r)]
-                                      [static_cast<std::size_t>(d)];
-      if (current.out_port != fresh.out_port ||
-          current.vc_class != fresh.vc_class) {
-        network_->set_route(r, d, fresh);
-        ++changed;
-      }
-    }
-  }
+  // Rerouting takes effect at the next route computation; in-network packets
+  // keep their already-computed path (they still drain — a dying channel
+  // never drops flits).
+  const std::int64_t changed = patch_own256_routes(*network_, faults_);
   flows_degraded_ += changed;
   obs_flows_degraded_.add(changed);
 }
@@ -302,19 +260,24 @@ void FaultCampaign::arm_wake(Cycle now) {
   request_wake(std::max(at, now + 1));
 }
 
-Totals FaultCampaign::totals() const {
+Totals link_layer_totals(const Network& network) {
   Totals t;
-  for (std::size_t i = 0; i < network_->num_network_channels(); ++i) {
-    const LinkFaultCounters& fc = network_->network_channel(i).fault_counters();
+  for (std::size_t i = 0; i < network.num_network_channels(); ++i) {
+    const LinkFaultCounters& fc = network.network_channel(i).fault_counters();
     t.crc_errors += fc.crc_errors;
     t.retransmissions += fc.retransmissions;
   }
-  for (std::size_t m = 0; m < network_->num_media(); ++m) {
-    const MediumCounters& mc = network_->medium(m).counters();
+  for (std::size_t m = 0; m < network.num_media(); ++m) {
+    const MediumCounters& mc = network.medium(m).counters();
     t.crc_errors += mc.crc_errors;
     t.retransmissions += mc.retransmissions;
     t.token_recoveries += mc.token_recoveries;
   }
+  return t;
+}
+
+Totals FaultCampaign::totals() const {
+  Totals t = link_layer_totals(*network_);
   t.flows_degraded = flows_degraded_;
   t.watchdog_trips = watchdog_ != nullptr ? watchdog_->trips() : 0;
   return t;

@@ -15,8 +15,8 @@
 //    but every flit pays the exhausted-backoff penalty; after the time K
 //    consecutive timeouts take, the persistent-failure detector marks the
 //    cluster pair failed and patches the live route table onto the
-//    2-wireless-hop degraded paths (topology/own_fault.*) — no rebuild, zero
-//    packets lost;
+//    2-wireless-hop degraded paths (patch_own256_routes, topology/own_fault.*)
+//    — no rebuild, zero packets lost;
 //  * token loss — a shared medium's token freezes (optionally forever); the
 //    MAC recovery regenerates it at writer 0 after the configured delay.
 //
@@ -110,6 +110,11 @@ struct CampaignConfig {
   std::ostream* diagnostics = nullptr;  ///< watchdog dump target (null: cerr)
 };
 
+/// Link-layer fault counters (CRC errors, retransmissions, token
+/// recoveries) summed over every channel and medium of `network`. The
+/// campaign's totals and adapt-only runs both report these.
+Totals link_layer_totals(const Network& network);
+
 /// The campaign's effective per-bit error probability (explicit `ber`, or
 /// the link-budget operating point when negative).
 double resolve_ber(const CampaignConfig& config);
@@ -152,6 +157,8 @@ class FaultCampaign final : public Clocked {
     int dst_cluster;
   };
 
+  /// Spec link index of the OWN-256 channel for a cluster pair; throws
+  /// std::invalid_argument when the topology has none.
   std::size_t channel_for(int src_cluster, int dst_cluster) const;
   void apply(const Event& event, Cycle now);
   void detect(int src_cluster, int dst_cluster);
@@ -161,8 +168,6 @@ class FaultCampaign final : public Clocked {
   CampaignConfig config_;
   Protocol protocol_;
   std::vector<std::size_t> wireless_links_;  ///< spec indices, kWireless
-  bool own256_mode_ = false;  ///< cluster-pair events resolvable
-  std::size_t pair_link_[4][4];  ///< cluster pair -> spec link index
   std::vector<Event> events_;    ///< sorted by `at` (stable)
   std::size_t next_event_ = 0;
   std::vector<PendingDetection> detections_;

@@ -25,13 +25,20 @@ constexpr std::int8_t kClsWireless256 = 2;     // OWN-256: VCs 2..3
 constexpr std::int8_t kClsWirelessIntra = 2;   // OWN-1024: VC2
 constexpr std::int8_t kClsWirelessInter = 3;   // OWN-1024: VC3
 
-void add_cluster_waveguides(NetworkSpec& spec, int group, int cluster,
-                            int cpf, int max_packet_flits,
-                            ArbitrationKind arbitration) {
+void add_cluster_waveguides(NetworkSpec& spec, const TopologyOptions& options,
+                            int group, int cluster,
+                            const std::string& name_prefix) {
+  // Each home waveguide carries an 8-lambda DWDM slice at 8 Gb/s = 64 Gb/s.
+  // The gateway corners' home waveguides carry both the pre-wireless funnel
+  // and terminal traffic, so anything slower than ~2x the 32 Gb/s wireless
+  // channel rate would bottleneck the gateway below the wireless bisection
+  // the evaluation normalizes against.
+  const int cpf = options.photonic_cpf > 0 ? options.photonic_cpf : 4;
   for (int home = 0; home < kOwnTilesPerCluster; ++home) {
     MediumSpec wg;
     wg.medium = MediumType::kPhotonic;
-    wg.arbitration = arbitration;
+    wg.arbitration = options.ideal_arbitration ? ArbitrationKind::kIdeal
+                                               : ArbitrationKind::kTokenRing;
     for (int t = 0; t < kOwnTilesPerCluster; ++t) {
       if (t == home) continue;
       wg.writers.push_back(
@@ -40,11 +47,20 @@ void add_cluster_waveguides(NetworkSpec& spec, int group, int cluster,
     wg.readers = {{own_router(group, cluster, home), kPhotonicIn}};
     wg.latency = 2;  // ~25 mm snake at ~15 ps/mm plus O/E conversion
     wg.cycles_per_flit = cpf;
-    wg.max_packet_flits = max_packet_flits;
+    wg.max_packet_flits = options.max_packet_flits;
     wg.distance = 25.0_mm;
-    wg.name = "wg-g" + std::to_string(group) + "c" + std::to_string(cluster) +
-              "t" + std::to_string(home);
+    wg.name = name_prefix + std::to_string(cluster) + "t" +
+              std::to_string(home);
     spec.media.push_back(std::move(wg));
+  }
+}
+
+// One partition per physical cluster, so a parallel-kernel partition cut
+// crosses only inter-cluster media (wireless / gateway hops).
+void fill_cluster_partitions(NetworkSpec& spec) {
+  spec.partition_hint.resize(spec.routers.size());
+  for (std::size_t r = 0; r < spec.routers.size(); ++r) {
+    spec.partition_hint[r] = static_cast<int>(r) / kOwnTilesPerCluster;
   }
 }
 
@@ -101,26 +117,21 @@ void fill_own_positions(NetworkSpec& spec, int groups) {
   }
 }
 
-namespace {
-
-NetworkSpec build_own256_impl(const TopologyOptions& options,
-                              AntennaPlacement placement) {
+NetworkSpec build_own256_floorplan(const TopologyOptions& options,
+                                   const std::vector<OwnChannel>& channels,
+                                   const std::string& waveguide_prefix,
+                                   AntennaPlacement placement) {
+  if (options.num_cores != 256 || options.concentration != 4) {
+    throw std::invalid_argument(
+        "OWN-256 floorplan: needs 256 cores at concentration 4");
+  }
   const auto tile_of = [&](Antenna a, int cluster) {
     return placement_tiles(placement, cluster)[static_cast<int>(a)];
   };
-  const auto is_gateway = [&](int tile, int cluster) {
-    const auto tiles = placement_tiles(placement, cluster);
-    return tile == tiles[0] || tile == tiles[1] || tile == tiles[2];
-  };
   NetworkSpec spec;
-  spec.name = placement == AntennaPlacement::kCorners ? "own-256"
-                                                      : "own-256-center";
   spec.num_nodes = options.num_cores;
   spec.num_vcs = options.num_vcs;
   spec.buffer_depth = options.buffer_depth;
-  // VC0: photonic toward gateways + non-corner local traffic; VC1: photonic
-  // out of corner routers; VC2..3: wireless ("2 photonic + 2 wireless" VCs).
-  spec.vc_classes = {{0, 1}, {1, 1}, {2, options.num_vcs - 2}};
 
   const int num_routers = 64;
   spec.routers.assign(num_routers, {1, 15});
@@ -128,30 +139,14 @@ NetworkSpec build_own256_impl(const TopologyOptions& options,
   for (NodeId n = 0; n < options.num_cores; ++n) {
     spec.nodes[n].router = n / options.concentration;
   }
-
-  // Gateways (A, B, C antennas) carry one wireless TX + one RX each.
   for (int c = 0; c < kOwnClustersPerGroup; ++c) {
-    for (Antenna a : {Antenna::kA, Antenna::kB, Antenna::kC}) {
-      spec.routers[own_router(0, c, tile_of(a, c))] = {2, 16};
-    }
+    add_cluster_waveguides(spec, options, 0, c, waveguide_prefix);
   }
 
-  // Intra-cluster photonic: each home waveguide carries an 8-lambda DWDM
-  // slice at 8 Gb/s = 64 Gb/s. The gateway corners' home waveguides carry
-  // both the pre-wireless funnel and terminal traffic, so anything slower
-  // than ~2x the 32 Gb/s wireless channel rate would bottleneck the gateway
-  // below the wireless bisection the evaluation normalizes against.
-  const int photonic_cpf = options.photonic_cpf > 0 ? options.photonic_cpf : 4;
-  for (int c = 0; c < kOwnClustersPerGroup; ++c) {
-    add_cluster_waveguides(spec, 0, c, photonic_cpf, options.max_packet_flits,
-                           options.ideal_arbitration
-                               ? ArbitrationKind::kIdeal
-                               : ArbitrationKind::kTokenRing);
-  }
-
-  // Inter-cluster wireless: Table I channels; 8 cross the bisection.
+  // Each channel's endpoints are gateways: the source router gains the
+  // wireless transmitter port, the destination router the receiver port.
   const int wireless_cpf = resolve_cpf(options.wireless_cpf, 8.0, options);
-  for (const OwnChannel& ch : own256_channels()) {
+  for (const OwnChannel& ch : channels) {
     LinkSpec link;
     link.src_router =
         own_router(0, ch.src_cluster, tile_of(ch.src_antenna, ch.src_cluster));
@@ -165,10 +160,37 @@ NetworkSpec build_own256_impl(const TopologyOptions& options,
     link.distance = distance_of(ch.distance);
     link.wireless_channel = ch.id;
     link.name = "wl" + std::to_string(ch.id);
+    spec.routers[link.src_router].num_net_out = kWirelessOut + 1;
+    spec.routers[link.dst_router].num_net_in = kWirelessIn + 1;
     spec.links.push_back(link);
   }
+  fill_cluster_partitions(spec);
+  fill_own_positions(spec, 1);
+  return spec;
+}
+
+namespace {
+
+NetworkSpec build_own256_impl(const TopologyOptions& options,
+                              AntennaPlacement placement) {
+  const auto tile_of = [&](Antenna a, int cluster) {
+    return placement_tiles(placement, cluster)[static_cast<int>(a)];
+  };
+  const auto is_gateway = [&](int tile, int cluster) {
+    const auto tiles = placement_tiles(placement, cluster);
+    return tile == tiles[0] || tile == tiles[1] || tile == tiles[2];
+  };
+  // Inter-cluster wireless: Table I channels; 8 cross the bisection.
+  NetworkSpec spec = build_own256_floorplan(options, own256_channels(),
+                                            "wg-g0c", placement);
+  spec.name = placement == AntennaPlacement::kCorners ? "own-256"
+                                                      : "own-256-center";
+  // VC0: photonic toward gateways + non-corner local traffic; VC1: photonic
+  // out of corner routers; VC2..3: wireless ("2 photonic + 2 wireless" VCs).
+  spec.vc_classes = {{0, 1}, {1, 1}, {2, options.num_vcs - 2}};
 
   // Routing.
+  const int num_routers = spec.num_routers();
   spec.route_table.assign(num_routers, std::vector<RouteEntry>(num_routers));
   for (int r = 0; r < num_routers; ++r) {
     const int rc = r / kOwnTilesPerCluster;
@@ -195,13 +217,6 @@ NetworkSpec build_own256_impl(const TopologyOptions& options,
       spec.route_table[r][d] = entry;
     }
   }
-  // Parallel-kernel partition hint: one partition per physical cluster, so a
-  // partition cut crosses only inter-cluster media (wireless / gateway hops).
-  spec.partition_hint.resize(static_cast<std::size_t>(num_routers));
-  for (int r = 0; r < num_routers; ++r) {
-    spec.partition_hint[static_cast<std::size_t>(r)] = r / kOwnTilesPerCluster;
-  }
-  fill_own_positions(spec, 1);
   return spec;
 }
 
@@ -234,14 +249,10 @@ NetworkSpec build_own1024(const TopologyOptions& options) {
     }
   }
 
-  // Same 8-lambda home-waveguide slices as OWN-256 (see build_own256).
-  const int photonic_cpf = options.photonic_cpf > 0 ? options.photonic_cpf : 4;
   for (int g = 0; g < 4; ++g) {
     for (int c = 0; c < kOwnClustersPerGroup; ++c) {
-      add_cluster_waveguides(spec, g, c, photonic_cpf, options.max_packet_flits,
-                             options.ideal_arbitration
-                                 ? ArbitrationKind::kIdeal
-                                 : ArbitrationKind::kTokenRing);
+      add_cluster_waveguides(spec, options, g, c,
+                             "wg-g" + std::to_string(g) + "c");
     }
   }
 
@@ -301,12 +312,7 @@ NetworkSpec build_own1024(const TopologyOptions& options) {
       spec.route_table[r][d] = entry;
     }
   }
-  // Parallel-kernel partition hint: one partition per physical cluster, so a
-  // partition cut crosses only inter-cluster media (wireless / gateway hops).
-  spec.partition_hint.resize(static_cast<std::size_t>(num_routers));
-  for (int r = 0; r < num_routers; ++r) {
-    spec.partition_hint[static_cast<std::size_t>(r)] = r / kOwnTilesPerCluster;
-  }
+  fill_cluster_partitions(spec);
   fill_own_positions(spec, 4);
   return spec;
 }
@@ -315,10 +321,6 @@ NetworkSpec build_own1024(const TopologyOptions& options) {
 
 NetworkSpec build_own256_placed(const TopologyOptions& options,
                                 AntennaPlacement placement) {
-  if (options.num_cores != 256) {
-    throw std::invalid_argument(
-        "build_own256_placed: placement variants are 256-core only");
-  }
   return build_own256_impl(options, placement);
 }
 

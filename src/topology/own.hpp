@@ -24,6 +24,9 @@
 // restriction (1024) in a provably deadlock-free form (see DESIGN.md).
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "network/spec.hpp"
 #include "topology/options.hpp"
 #include "wireless/channel_alloc.hpp"
@@ -44,6 +47,17 @@ enum class AntennaPlacement { kCorners, kCenter };
 /// OWN-256 with an explicit antenna placement; `kCorners` == build_own(256).
 NetworkSpec build_own256_placed(const TopologyOptions& options,
                                 AntennaPlacement placement);
+
+/// The floorplan every OWN-256 variant shares: 64 routers of 4 cores, one
+/// MWSR home waveguide per tile (token ring, or ideal arbitration under
+/// options.ideal_arbitration) named `<waveguide_prefix><cluster>t<tile>`,
+/// one point-to-point wireless link per entry of `channels` (its endpoints
+/// get the gateway ports), the per-cluster partition hint and router_xy.
+/// Name, VC classes and route table are left to the variant's builder.
+NetworkSpec build_own256_floorplan(
+    const TopologyOptions& options, const std::vector<OwnChannel>& channels,
+    const std::string& waveguide_prefix,
+    AntennaPlacement placement = AntennaPlacement::kCorners);
 
 /// Tiles per cluster / clusters per group in OWN.
 inline constexpr int kOwnTilesPerCluster = 16;

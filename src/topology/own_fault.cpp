@@ -4,15 +4,13 @@
 #include <stdexcept>
 #include <string>
 
-#include "topology/bisection.hpp"
+#include "network/network.hpp"
 #include "topology/own.hpp"
 #include "wireless/channel_alloc.hpp"
 
 namespace ownsim {
 namespace {
 
-constexpr PortId kPhotonicIn = 0;
-constexpr PortId kWirelessIn = 1;
 constexpr PortId kWirelessOut = 15;
 
 // Degraded-mode VC classes (see header).
@@ -22,6 +20,58 @@ constexpr std::int8_t kClsMid = 1;       // photonic toward the final gateway
 constexpr std::int8_t kClsPost = 2;      // photonic last hop
 constexpr std::int8_t kClsWireless1 = 3; // first wireless hop of a reroute
 constexpr std::int8_t kClsWireless2 = 4; // final wireless hop
+
+constexpr int kNumRouters = kOwnClustersPerGroup * kOwnTilesPerCluster;
+
+// Route entry at router `r` toward destination router `d` under `faults`.
+// For destination cluster dc from cluster rc:
+//   alive (rc,dc):  photonic kClsMid toward the direct gateway, wireless
+//                   kClsWireless2 — transit clusters fall into this case
+//                   automatically for the second leg.
+//   failed (rc,dc): photonic kClsPre toward the gateway of (rc, via),
+//                   wireless kClsWireless1.
+RouteEntry own256_fault_route_entry(RouterId r, RouterId d,
+                                    const FaultSet& faults) {
+  const int rc = r / kOwnTilesPerCluster;
+  const int rt = r % kOwnTilesPerCluster;
+  const int dc = d / kOwnTilesPerCluster;
+  const int dt = d % kOwnTilesPerCluster;
+  RouteEntry entry;
+  if (dc == rc) {
+    entry.out_port = own_writer_port(rt, dt);
+    entry.vc_class = own256_is_gateway_tile(rt) ? kClsPost : kClsMid;
+  } else {
+    const bool direct = !faults.is_failed(rc, dc);
+    const int toward = direct ? dc : faults.transit_for(rc, dc);
+    const int gate = antenna_tile(own256_channel(rc, toward).src_antenna);
+    if (rt == gate) {
+      entry.out_port = kWirelessOut;
+      entry.vc_class = direct ? kClsWireless2 : kClsWireless1;
+    } else {
+      entry.out_port = own_writer_port(rt, gate);
+      entry.vc_class = direct ? kClsMid : kClsPre;
+    }
+  }
+  return entry;
+}
+
+// Calls fn(r, d, entry) for every (router, destination) pair the scheme
+// routes under `faults`: all pairs except those of unrecoverable clusters.
+template <typename Fn>
+void for_each_fault_route(const FaultSet& faults, Fn&& fn) {
+  for (RouterId r = 0; r < kNumRouters; ++r) {
+    for (RouterId d = 0; d < kNumRouters; ++d) {
+      if (d == r) continue;
+      const int rc = r / kOwnTilesPerCluster;
+      const int dc = d / kOwnTilesPerCluster;
+      if (rc != dc && faults.is_failed(rc, dc) &&
+          faults.transit_for(rc, dc) < 0) {
+        continue;
+      }
+      fn(r, d, own256_fault_route_entry(r, d, faults));
+    }
+  }
+}
 
 }  // namespace
 
@@ -59,131 +109,64 @@ int FaultSet::transit_for(int src_cluster, int dst_cluster) const {
   return -1;
 }
 
-RouteEntry own256_fault_route_entry(RouterId r, RouterId d,
-                                    const FaultSet& faults) {
-  const int rc = r / kOwnTilesPerCluster;
-  const int rt = r % kOwnTilesPerCluster;
-  const int dc = d / kOwnTilesPerCluster;
-  const int dt = d % kOwnTilesPerCluster;
-  RouteEntry entry;
-  if (dc == rc) {
-    entry.out_port = own_writer_port(rt, dt);
-    entry.vc_class = own256_is_gateway_tile(rt) ? kClsPost : kClsMid;
-  } else {
-    const bool direct = !faults.is_failed(rc, dc);
-    const int toward = direct ? dc : faults.transit_for(rc, dc);
-    const int gate = antenna_tile(own256_channel(rc, toward).src_antenna);
-    if (rt == gate) {
-      entry.out_port = kWirelessOut;
-      entry.vc_class = direct ? kClsWireless2 : kClsWireless1;
-    } else {
-      entry.out_port = own_writer_port(rt, gate);
-      entry.vc_class = direct ? kClsMid : kClsPre;
-    }
-  }
-  return entry;
-}
-
 NetworkSpec build_own256_faulted(const TopologyOptions& options,
                                  const FaultSet& faults) {
-  if (options.num_cores != 256 || options.concentration != 4) {
-    throw std::invalid_argument("build_own256_faulted: needs 256 cores");
-  }
   if (options.num_vcs < 5) {
     throw std::invalid_argument(
         "build_own256_faulted: degraded mode needs >= 5 VCs");
   }
-  // Every failed pair must have a transit.
-  for (int a = 0; a < 4; ++a) {
-    for (int b = 0; b < 4; ++b) {
-      if (a == b || !faults.is_failed(a, b)) continue;
-      if (faults.transit_for(a, b) < 0) {
-        throw std::invalid_argument(
-            "build_own256_faulted: cluster pair " + std::to_string(a) + "->" +
-            std::to_string(b) + " is unrecoverable");
-      }
+  std::vector<OwnChannel> alive;
+  for (const OwnChannel& ch : own256_channels()) {
+    if (!faults.is_failed(ch.src_cluster, ch.dst_cluster)) {
+      alive.push_back(ch);
+    } else if (faults.transit_for(ch.src_cluster, ch.dst_cluster) < 0) {
+      throw std::invalid_argument(
+          "build_own256_faulted: cluster pair " +
+          std::to_string(ch.src_cluster) + "->" +
+          std::to_string(ch.dst_cluster) + " is unrecoverable");
     }
   }
 
-  NetworkSpec spec;
+  NetworkSpec spec = build_own256_floorplan(options, alive, "wg-c");
   spec.name = "own-256-fault" + std::to_string(faults.size());
-  spec.num_nodes = options.num_cores;
-  spec.num_vcs = options.num_vcs;
-  spec.buffer_depth = options.buffer_depth;
   spec.vc_classes = {{0, 1}, {1, 1}, {2, 1}, {3, 1},
                      {4, options.num_vcs - 4}};
-
-  const int num_routers = 64;
-  spec.routers.assign(num_routers, {1, 15});
-  spec.nodes.resize(options.num_cores);
-  for (NodeId n = 0; n < options.num_cores; ++n) {
-    spec.nodes[n].router = n / options.concentration;
-  }
-  fill_own_positions(spec, /*groups=*/1);
-
-  // Gateway ports exist only for alive channel directions.
-  for (const OwnChannel& ch : own256_channels()) {
-    if (faults.is_failed(ch.src_cluster, ch.dst_cluster)) continue;
-    auto& src = spec.routers[own_router(
-        0, ch.src_cluster, antenna_tile(ch.src_antenna))];
-    src.num_net_out = 16;
-    auto& dst = spec.routers[own_router(
-        0, ch.dst_cluster, antenna_tile(ch.dst_antenna))];
-    dst.num_net_in = 2;
-  }
-
-  const int photonic_cpf = options.photonic_cpf > 0 ? options.photonic_cpf : 4;
-  for (int c = 0; c < kOwnClustersPerGroup; ++c) {
-    for (int home = 0; home < kOwnTilesPerCluster; ++home) {
-      MediumSpec wg;
-      wg.medium = MediumType::kPhotonic;
-      for (int t = 0; t < kOwnTilesPerCluster; ++t) {
-        if (t == home) continue;
-        wg.writers.push_back({own_router(0, c, t), own_writer_port(t, home)});
-      }
-      wg.readers = {{own_router(0, c, home), kPhotonicIn}};
-      wg.latency = 2;
-      wg.cycles_per_flit = photonic_cpf;
-      wg.max_packet_flits = options.max_packet_flits;
-      wg.distance = 25.0_mm;
-      wg.name = "wg-c" + std::to_string(c) + "t" + std::to_string(home);
-      spec.media.push_back(std::move(wg));
-    }
-  }
-
-  const int wireless_cpf = resolve_cpf(options.wireless_cpf, 8.0, options);
-  for (const OwnChannel& ch : own256_channels()) {
-    if (faults.is_failed(ch.src_cluster, ch.dst_cluster)) continue;
-    LinkSpec link;
-    link.src_router =
-        own_router(0, ch.src_cluster, antenna_tile(ch.src_antenna));
-    link.src_port = kWirelessOut;
-    link.dst_router =
-        own_router(0, ch.dst_cluster, antenna_tile(ch.dst_antenna));
-    link.dst_port = kWirelessIn;
-    link.medium = MediumType::kWireless;
-    link.latency = 2;
-    link.cycles_per_flit = wireless_cpf;
-    link.distance = distance_of(ch.distance);
-    link.wireless_channel = ch.id;
-    link.name = "wl" + std::to_string(ch.id);
-    spec.links.push_back(link);
-  }
-
-  // Routing. For destination cluster dc from cluster rc:
-  //   alive (rc,dc): photonic kClsMid toward the direct gateway, wireless
-  //                  kClsWireless2 — transit clusters fall into this case
-  //                  automatically for the second leg.
-  //   failed (rc,dc): photonic kClsPre toward the gateway of (rc, via),
-  //                  wireless kClsWireless1.
-  spec.route_table.assign(num_routers, std::vector<RouteEntry>(num_routers));
-  for (int r = 0; r < num_routers; ++r) {
-    for (int d = 0; d < num_routers; ++d) {
-      if (d == r) continue;
-      spec.route_table[r][d] = own256_fault_route_entry(r, d, faults);
-    }
-  }
+  spec.route_table.assign(kNumRouters, std::vector<RouteEntry>(kNumRouters));
+  for_each_fault_route(faults, [&](RouterId r, RouterId d, RouteEntry entry) {
+    spec.route_table[static_cast<std::size_t>(r)]
+                    [static_cast<std::size_t>(d)] = entry;
+  });
   return spec;
+}
+
+std::optional<std::pair<int, int>> own256_link_clusters(const NetworkSpec& spec,
+                                                        std::size_t link) {
+  const LinkSpec& ls = spec.links.at(link);
+  if (spec.num_routers() != kNumRouters ||
+      ls.medium != MediumType::kWireless || ls.wireless_channel < 0) {
+    return std::nullopt;
+  }
+  for (const OwnChannel& ch : own256_channels()) {
+    if (ch.id == ls.wireless_channel) {
+      return std::make_pair(ch.src_cluster, ch.dst_cluster);
+    }
+  }
+  return std::nullopt;
+}
+
+std::int64_t patch_own256_routes(Network& network, const FaultSet& faults) {
+  std::int64_t changed = 0;
+  for_each_fault_route(faults, [&](RouterId r, RouterId d, RouteEntry fresh) {
+    const RouteEntry& current =
+        network.spec().route_table[static_cast<std::size_t>(r)]
+                                  [static_cast<std::size_t>(d)];
+    if (current.out_port != fresh.out_port ||
+        current.vc_class != fresh.vc_class) {
+      network.set_route(r, d, fresh);
+      ++changed;
+    }
+  });
+  return changed;
 }
 
 }  // namespace ownsim

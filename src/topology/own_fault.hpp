@@ -1,4 +1,4 @@
-// OWN-256 wireless-channel fault tolerance.
+// OWN-256 wireless-channel fault tolerance and online route repair.
 //
 // The paper positions OWN in a line of work on reconfigurable/fault-tolerant
 // photonic NoCs ([12]) but does not evaluate failures. This extension models
@@ -18,8 +18,18 @@
 // uniform per (router, destination): routers in cluster c route toward a
 // destination cluster c' in "one-more-wireless-hop" classes iff (c, c') is
 // failed, which is exactly the transit position of rerouted packets.
+//
+// `build_own256_faulted` puts this scheme on the shared OWN-256 floorplan
+// (topology/own.hpp) with the failed channels left out. With an empty
+// FaultSet it is the campaign-capable build: the plain OWN-256 floorplan
+// whose routes can be repaired online. `patch_own256_routes` is that repair,
+// the one path both the fault campaign's persistent-failure detector
+// (fault/campaign.*) and the adaptive re-allocation (adapt/controller.*)
+// take when a cluster pair goes down or comes back.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -27,6 +37,8 @@
 #include "topology/options.hpp"
 
 namespace ownsim {
+
+class Network;
 
 /// Set of failed unidirectional inter-cluster channels.
 class FaultSet {
@@ -46,20 +58,27 @@ class FaultSet {
   std::vector<std::pair<int, int>> failed_;
 };
 
-/// OWN-256 with `faults` applied: failed channels are removed from the
-/// floorplan (their gateway ports disappear) and affected traffic takes the
-/// degraded 2-wireless-hop path. Requires options.num_vcs >= 5. Throws
+/// OWN-256 with `faults` applied: failed channels are left off the shared
+/// floorplan (their gateway ports disappear), waveguides are named
+/// `wg-c<cluster>t<tile>`, and affected traffic takes the degraded
+/// 2-wireless-hop path. Requires options.num_vcs >= 5. Throws
 /// std::invalid_argument when some pair has no alive transit.
 NetworkSpec build_own256_faulted(const TopologyOptions& options,
                                  const FaultSet& faults);
 
-/// Route entry at router `r` toward destination router `d` under `faults`,
-/// using the degraded-mode class scheme above. This is the single source of
-/// truth for OWN-256 fault routing: the builder fills its table with it, and
-/// the runtime persistent-failure detector (fault/campaign.*) re-invokes it
-/// to patch routes online after a mid-run channel death. Preconditions:
-/// r != d, and the (r, d) cluster pair is alive or recoverable.
-RouteEntry own256_fault_route_entry(RouterId r, RouterId d,
-                                    const FaultSet& faults);
+/// The (source, destination) cluster pair of spec link `link` when it is
+/// one of OWN-256's Table I wireless channels (identified by
+/// LinkSpec::wireless_channel on a 64-router spec), else nullopt.
+std::optional<std::pair<int, int>> own256_link_clusters(const NetworkSpec& spec,
+                                                        std::size_t link);
+
+/// Online route repair: rewrites every live route-table entry of `network`
+/// (a campaign-capable OWN-256) that the degraded-mode scheme above routes
+/// differently under `faults`, and returns how many entries changed.
+/// Unrecoverable pairs (no alive transit) keep their stale route: the dying
+/// channel still delivers, at the exhausted-backoff rate. Packets already
+/// routed keep their path; the new entries apply from the next route
+/// computation.
+std::int64_t patch_own256_routes(Network& network, const FaultSet& faults);
 
 }  // namespace ownsim

@@ -6,14 +6,11 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "topology/bisection.hpp"
 #include "topology/own.hpp"
 
 namespace ownsim {
 namespace {
 
-constexpr PortId kPhotonicIn = 0;
-constexpr PortId kWirelessIn = 1;
 constexpr PortId kWirelessOut = 15;
 constexpr std::int8_t kClsPhotonicPre = 0;
 constexpr std::int8_t kClsPhotonicPost = 1;
@@ -110,89 +107,18 @@ std::vector<int> reconfig_sdm_groups() {
 
 NetworkSpec build_own256_reconfig(const TopologyOptions& options,
                                   const ReconfigPlan& plan) {
-  if (options.num_cores != 256 || options.concentration != 4) {
-    throw std::invalid_argument(
-        "build_own256_reconfig: requires 256 cores, concentration 4");
-  }
-  NetworkSpec spec;
-  spec.name = "own-256-reconfig";
-  spec.num_nodes = options.num_cores;
-  spec.num_vcs = options.num_vcs;
-  spec.buffer_depth = options.buffer_depth;
-  spec.vc_classes = {{0, 1}, {1, 1}, {2, options.num_vcs - 2}};
-
-  const int num_routers = 64;
-  spec.routers.assign(num_routers, {1, 15});
-  spec.nodes.resize(options.num_cores);
-  for (NodeId n = 0; n < options.num_cores; ++n) {
-    spec.nodes[n].router = n / options.concentration;
-  }
-
-  // Primary gateways as in OWN-256.
-  for (int c = 0; c < kOwnClustersPerGroup; ++c) {
-    for (Antenna a : {Antenna::kA, Antenna::kB, Antenna::kC}) {
-      spec.routers[own_router(0, c, antenna_tile(a))] = {2, 16};
-    }
-  }
-  // D corners gain ports where the plan lands channels.
-  const int d_tile = antenna_tile(Antenna::kD);
-  for (const auto& [src, dst] : plan.pairs) {
-    auto& src_router = spec.routers[own_router(0, src, d_tile)];
-    src_router.num_net_out = 16;
-    if (src_router.num_net_in < 1) src_router.num_net_in = 1;
-    auto& dst_router = spec.routers[own_router(0, dst, d_tile)];
-    dst_router.num_net_in = 2;
-    if (dst_router.num_net_out < 15) dst_router.num_net_out = 15;
-  }
-
-  const int photonic_cpf = options.photonic_cpf > 0 ? options.photonic_cpf : 4;
-  for (int c = 0; c < kOwnClustersPerGroup; ++c) {
-    for (int home = 0; home < kOwnTilesPerCluster; ++home) {
-      MediumSpec wg;
-      wg.medium = MediumType::kPhotonic;
-      for (int t = 0; t < kOwnTilesPerCluster; ++t) {
-        if (t == home) continue;
-        wg.writers.push_back({own_router(0, c, t), own_writer_port(t, home)});
-      }
-      wg.readers = {{own_router(0, c, home), kPhotonicIn}};
-      wg.latency = 2;
-      wg.cycles_per_flit = photonic_cpf;
-      wg.max_packet_flits = options.max_packet_flits;
-      wg.distance = 25.0_mm;
-      wg.name = "wg-c" + std::to_string(c) + "t" + std::to_string(home);
-      spec.media.push_back(std::move(wg));
-    }
-  }
-
-  const int wireless_cpf = resolve_cpf(options.wireless_cpf, 8.0, options);
-  auto add_wireless = [&](RouterId src, RouterId dst, int channel,
-                          DistanceClass distance) {
-    LinkSpec link;
-    link.src_router = src;
-    link.src_port = kWirelessOut;
-    link.dst_router = dst;
-    link.dst_port = kWirelessIn;
-    link.medium = MediumType::kWireless;
-    link.latency = 2;
-    link.cycles_per_flit = wireless_cpf;
-    link.distance = distance_of(distance);
-    link.wireless_channel = channel;
-    link.name = "wl" + std::to_string(channel);
-    spec.links.push_back(link);
-  };
-  for (const OwnChannel& ch : own256_channels()) {
-    add_wireless(own_router(0, ch.src_cluster, antenna_tile(ch.src_antenna)),
-                 own_router(0, ch.dst_cluster, antenna_tile(ch.dst_antenna)),
-                 ch.id, ch.distance);
-  }
-  // Reconfiguration channels occupy band-plan links 12-15.
+  // Reconfiguration channels occupy band-plan links 12-15 on the D corners.
+  std::vector<OwnChannel> channels = own256_channels();
   bool has_channel[4][4] = {};
   for (std::size_t k = 0; k < plan.pairs.size(); ++k) {
     const auto& [src, dst] = plan.pairs[k];
-    add_wireless(own_router(0, src, d_tile), own_router(0, dst, d_tile),
-                 12 + static_cast<int>(k), reconfig_distance(plan.pairs[k]));
+    channels.push_back({12 + static_cast<int>(k), src, dst, Antenna::kD,
+                        Antenna::kD, reconfig_distance(plan.pairs[k])});
     has_channel[src][dst] = true;
   }
+  NetworkSpec spec = build_own256_floorplan(options, channels, "wg-c");
+  spec.name = "own-256-reconfig";
+  spec.vc_classes = {{0, 1}, {1, 1}, {2, options.num_vcs - 2}};
 
   // Routing: odd-column tiles use the reconfiguration channel when their
   // pair has one. Column parity is spatially interleaved and uncorrelated
@@ -200,6 +126,8 @@ NetworkSpec build_own256_reconfig(const TopologyOptions& options,
   // paper's permutation patterns (a row-based split would be perfectly
   // anti-correlated with perfect shuffle, whose destination cluster is the
   // row bit, and gain nothing).
+  const int d_tile = antenna_tile(Antenna::kD);
+  const int num_routers = spec.num_routers();
   spec.route_table.assign(num_routers, std::vector<RouteEntry>(num_routers));
   for (int r = 0; r < num_routers; ++r) {
     const int rc = r / kOwnTilesPerCluster;

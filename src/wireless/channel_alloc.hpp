@@ -51,7 +51,7 @@ int antenna_tile(Antenna antenna);
 
 /// One unidirectional OWN-256 inter-cluster channel.
 struct OwnChannel {
-  int id = 0;  ///< 0..11; doubles as the Table III band-plan link index
+  int id = 0;  ///< 0..11 (12..15: reconfiguration); Table III band-plan link
   int src_cluster = 0;
   int dst_cluster = 0;
   Antenna src_antenna = Antenna::kA;
