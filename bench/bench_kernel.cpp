@@ -35,18 +35,6 @@ struct KernelTiming {
   ownsim::Engine::Stats stats;
 };
 
-const char* kernel_name(ownsim::KernelMode mode) {
-  switch (mode) {
-    case ownsim::KernelMode::kLockstep:
-      return "lockstep";
-    case ownsim::KernelMode::kActivity:
-      return "activity";
-    case ownsim::KernelMode::kParallel:
-      return "parallel";
-  }
-  return "?";
-}
-
 /// Builds a fresh network, pins the kernel, and runs the given point. Fresh
 /// state per mode keeps the runs independent and seeds identical.
 KernelTiming run_point(const ownsim::ExperimentConfig& experiment,
@@ -91,7 +79,7 @@ bool three_way(const char* label, const ownsim::ExperimentConfig& experiment,
       std::fprintf(stderr,
                    "bench_kernel[%s]: %s kernel diverged from the lockstep "
                    "baseline — results are not bit-identical\n",
-                   label, kernel_name(modes[i]));
+                   label, ownsim::to_string(modes[i]));
       identical = false;
     }
   }
@@ -106,7 +94,7 @@ bool three_way(const char* label, const ownsim::ExperimentConfig& experiment,
 
   Table table({"kernel", "wall s", "cycles", "evals", "skipped"});
   for (int i = 0; i < 3; ++i) {
-    table.add_row({kernel_name(modes[i]),
+    table.add_row({ownsim::to_string(modes[i]),
                    Table::num(timing[i].wall_seconds, 4),
                    std::to_string(timing[i].run.cycles_simulated),
                    std::to_string(timing[i].stats.evals),
@@ -125,7 +113,7 @@ bool three_way(const char* label, const ownsim::ExperimentConfig& experiment,
     record.bench = "bench_kernel";
     record.paper_ref = "DESIGN.md 5e/5i";
     record.config = std::string(bench::phase_preset_name()) + "." + label;
-    record.kernel = kernel_name(mode);
+    record.kernel = ownsim::to_string(mode);
     record.threads =
         mode == KernelMode::kParallel ? static_cast<int>(threads) : 1;
     record.metrics.push_back({"throughput", timing[i].run.throughput,

@@ -170,7 +170,9 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const ExperimentConfig config = parse_experiment_config(args);
+    const ExperimentConfig config = parse_experiment_config(
+        args, {"help", "file", "sweep", "progress", "trace_out", "counters",
+               "report", "profile"});
 
     // Sweep mode: fan one fresh network per load point across the pool.
     if (args.contains("sweep")) {

@@ -1,8 +1,11 @@
 #include "driver/experiment_config.hpp"
 
+#include <algorithm>
+#include <concepts>
+#include <initializer_list>
 #include <stdexcept>
+#include <type_traits>
 
-#include "common/numfmt.hpp"
 #include "common/sha256.hpp"
 #include "serve/json.hpp"
 #include "topofile/topofile.hpp"
@@ -15,6 +18,18 @@ using serve::Json;
 /// Bump on any change to simulated results or the stored payload layout.
 constexpr char kCodeVersionTag[] = "ownsim-2026.08-serve3";
 
+/// Canonical keys of file topologies, written and read outside the field
+/// table: the body's hash stands in for `options.topofile_text`.
+constexpr char kTopofileShaKey[] = "topofile.sha256";
+constexpr char kTopofileGeneratorKey[] = "topofile.generator";
+
+/// key=value names parsed by hand in parse_experiment_config: each sets
+/// members the field table cannot express one-to-one.
+constexpr const char* kHandParsedKeys[] = {"topology", "fault_kill",
+                                           "fault_token_loss", "watchdog"};
+
+// ---- codecs: one per member type, shared by every field of that type -------
+
 const char* to_string(fault::EventKind kind) {
   switch (kind) {
     case fault::EventKind::kFlap: return "flap";
@@ -24,11 +39,258 @@ const char* to_string(fault::EventKind kind) {
   throw std::logic_error("bad EventKind");
 }
 
-fault::EventKind parse_event_kind(const std::string& name) {
-  if (name == "flap") return fault::EventKind::kFlap;
-  if (name == "kill") return fault::EventKind::kKill;
-  if (name == "token_loss") return fault::EventKind::kTokenLoss;
-  throw std::invalid_argument("bad fault event kind: " + name);
+/// Inverse of `to_string` over the enumerators in `values`.
+template <typename E>
+E enum_from_name(const std::string& name, std::initializer_list<E> values) {
+  std::string want;
+  for (const E value : values) {
+    if (name == to_string(value)) return value;
+    if (!want.empty()) want += '|';
+    want += to_string(value);
+  }
+  throw std::invalid_argument("bad value '" + name + "' (want " + want + ")");
+}
+
+void from_name(const std::string& name, TopologyKind& kind) {
+  kind = parse_topology(name);
+}
+void from_name(const std::string& name, PatternKind& kind) {
+  kind = parse_pattern(name);
+}
+void from_name(const std::string& name, Scenario& scenario) {
+  scenario = enum_from_name(name, {Scenario::kIdeal, Scenario::kConservative});
+}
+void from_name(const std::string& name, KernelMode& mode) {
+  mode = enum_from_name(name, {KernelMode::kActivity, KernelMode::kLockstep,
+                               KernelMode::kParallel});
+}
+void from_name(const std::string& name, fault::EventKind& kind) {
+  kind = enum_from_name(name, {fault::EventKind::kFlap, fault::EventKind::kKill,
+                               fault::EventKind::kTokenLoss});
+}
+
+OwnConfig own_config_from_row(std::int64_t row) {
+  if (row < 1 || row > 4) {
+    throw std::invalid_argument("config: want a Table IV row 1..4");
+  }
+  return static_cast<OwnConfig>(row);
+}
+
+Json to_json(const std::vector<fault::Event>& events);
+void from_json(const Json& json, std::vector<fault::Event>& events);
+
+template <typename T>
+Json to_json(const T& value) {
+  if constexpr (std::is_same_v<T, bool> || std::is_floating_point_v<T>) {
+    return Json(value);
+  } else if constexpr (std::is_integral_v<T>) {
+    // Unsigned seeds keep the two's-complement int64 form of earlier keys.
+    return Json(static_cast<std::int64_t>(value));
+  } else if constexpr (std::is_same_v<T, Decibels>) {
+    return Json(value.db());
+  } else if constexpr (std::is_same_v<T, OwnConfig>) {
+    return Json(static_cast<int>(value));
+  } else {
+    return Json(to_string(value));
+  }
+}
+
+template <typename T>
+void from_json(const Json& json, T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    value = json.as_bool();
+  } else if constexpr (std::is_floating_point_v<T>) {
+    value = json.as_double();
+  } else if constexpr (std::is_integral_v<T>) {
+    value = static_cast<T>(json.as_int());
+  } else if constexpr (std::is_same_v<T, Decibels>) {
+    value = Decibels{json.as_double()};
+  } else if constexpr (std::is_same_v<T, OwnConfig>) {
+    value = own_config_from_row(json.as_int());
+  } else {
+    from_name(json.as_string(), value);
+  }
+}
+
+template <typename T>
+void read_kv(const Config& args, const std::string& key, T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    value = args.get_bool(key, value);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    value = args.require_double(key);
+  } else if constexpr (std::is_integral_v<T>) {
+    value = static_cast<T>(args.require_int(key));
+  } else if constexpr (std::is_same_v<T, Decibels>) {
+    value = Decibels{args.require_double(key)};
+  } else if constexpr (std::is_same_v<T, OwnConfig>) {
+    value = own_config_from_row(args.require_int(key));
+  } else {
+    from_name(args.require_string(key), value);
+  }
+}
+
+// ---- the field tables ------------------------------------------------------
+//
+// Each line declares one field: its canonical JSON key, its key=value name,
+// and the member it reads and writes. `nullptr` means "none" on that side:
+// no key=value name for programmatic-only fields, no JSON key for the
+// result-neutral kernel knobs (DESIGN.md §5g). Being its own type
+// (std::nullptr_t), it keeps that side's codec from being instantiated.
+
+template <typename E, typename Field>
+  requires std::same_as<std::remove_const_t<E>, fault::Event>
+void visit_fields(E& e, Field&& field) {
+  field("at", nullptr, e.at);
+  field("down_cycles", nullptr, e.down_cycles);
+  field("dst_cluster", nullptr, e.dst_cluster);
+  field("kind", nullptr, e.kind);
+  field("link", nullptr, e.link);
+  field("medium", nullptr, e.medium);
+  field("recovery", nullptr, e.recovery);
+  field("src_cluster", nullptr, e.src_cluster);
+}
+
+template <typename C, typename Field>
+  requires std::same_as<std::remove_const_t<C>, ExperimentConfig>
+void visit_fields(C& c, Field&& field) {
+  field("topology", nullptr, c.topology);  // key=value: hand-parsed (file:)
+  field("pattern", "pattern", c.pattern);
+  field("rate", "rate", c.rate);
+  field("own_config", "config", c.own_config);
+  field("scenario", "scenario", c.scenario);
+
+  field("options.num_cores", "cores", c.options.num_cores);
+  field("options.concentration", "concentration", c.options.concentration);
+  field("options.num_vcs", "vcs", c.options.num_vcs);
+  field("options.buffer_depth", "buffer_depth", c.options.buffer_depth);
+  field("options.max_packet_flits", nullptr, c.options.max_packet_flits);
+  field("options.clock_ghz", "clock_ghz", c.options.clock_ghz);
+  field("options.flit_bits", "flit_bits", c.options.flit_bits);
+  field("options.electrical_cpf", nullptr, c.options.electrical_cpf);
+  field("options.photonic_cpf", nullptr, c.options.photonic_cpf);
+  field("options.wireless_cpf", nullptr, c.options.wireless_cpf);
+  field("options.ideal_arbitration", "ideal_arbitration",
+        c.options.ideal_arbitration);
+  field("options.cmesh_o1turn", "o1turn", c.options.cmesh_o1turn);
+
+  field("phases.warmup", "warmup", c.phases.warmup);
+  field("phases.measure", "measure", c.phases.measure);
+  field("phases.drain_limit", "drain", c.phases.drain_limit);
+
+  field("injector.packet_flits", "packet_flits", c.injector.packet_flits);
+  field("injector.flit_bits", nullptr, c.injector.flit_bits);
+  field("injector.master_seed", "seed", c.injector.master_seed);
+
+  field(nullptr, "kernel", c.kernel);
+  field(nullptr, "threads", c.threads);
+  field(nullptr, "partitions", c.partitions);
+
+  auto& p = c.power;
+  field("power.buffer_write_pj_per_bit", nullptr, p.buffer_write_pj_per_bit);
+  field("power.buffer_read_pj_per_bit", nullptr, p.buffer_read_pj_per_bit);
+  field("power.xbar_base_pj_per_bit", nullptr, p.xbar_base_pj_per_bit);
+  field("power.xbar_radix_slope_pj_per_bit", nullptr,
+        p.xbar_radix_slope_pj_per_bit);
+  field("power.alloc_pj_per_op", nullptr, p.alloc_pj_per_op);
+  field("power.leak_mw_per_input_port", nullptr, p.leak_mw_per_input_port);
+  field("power.leak_mw_per_output_port", nullptr, p.leak_mw_per_output_port);
+  field("power.leak_uw_per_crosspoint", nullptr, p.leak_uw_per_crosspoint);
+  field("power.wire_pj_per_bit_mm", nullptr, p.wire_pj_per_bit_mm);
+  field("power.photonic_dynamic_pj_per_bit", nullptr,
+        p.photonic_dynamic_pj_per_bit);
+  field("power.lambda_rate_gbps", nullptr, p.lambda_rate_gbps);
+  field("power.ring_tuning_uw", nullptr, p.ring_tuning_uw);
+  field("power.legacy_wireless_pj_per_bit", nullptr,
+        p.legacy_wireless_pj_per_bit);
+  field("power.wireless_static_mw_per_channel", nullptr,
+        p.wireless_static_mw_per_channel);
+
+  auto& a = c.adapt;
+  field("adapt.enabled", "adapt", a.enabled);
+  field("adapt.react", "adapt_react", a.react);
+  field("adapt.refresh", "adapt_refresh", a.refresh);
+  field("adapt.variation_seed", "adapt_seed", a.variation_seed);
+  field("adapt.variation_sigma_db", "adapt_sigma_db", a.variation_sigma_db);
+  field("adapt.ring_sigma_c", "adapt_ring_sigma_c", a.ring_sigma_c);
+  field("adapt.snr_required_db", "adapt_snr_required_db", a.snr_required);
+  field("adapt.base_margin_db", "adapt_margin_db", a.base_margin);
+  field("adapt.temp_coeff_db_per_c", "adapt_temp_coeff",
+        a.temp_coeff_db_per_c);
+  field("adapt.thermal_alpha", "adapt_alpha", a.thermal_alpha);
+  field("adapt.thermal_iterations", "adapt_iterations", a.thermal_iterations);
+  field("adapt.backoff_enter_db", "adapt_backoff_enter", a.backoff_enter_db);
+  field("adapt.backoff_exit_db", "adapt_backoff_exit", a.backoff_exit_db);
+  field("adapt.backoff_gain_db", "adapt_backoff_gain", a.backoff_gain_db);
+  field("adapt.max_backoff", "adapt_max_backoff", a.max_backoff);
+  field("adapt.sustain", "adapt_sustain", a.sustain);
+  field("adapt.realloc_enter_db", "adapt_realloc_enter", a.realloc_enter_db);
+  field("adapt.realloc_exit_db", "adapt_realloc_exit", a.realloc_exit_db);
+  field("adapt.trim_uw_per_c", "adapt_trim_uw", a.trim_uw_per_c);
+
+  auto& f = c.fault;
+  field("fault.enabled", "fault", f.enabled);
+  field("fault.seed", "fault_seed", f.seed);  // default: seed
+  field("fault.ber", "fault_ber", f.ber);
+  field("fault.snr_required_db", nullptr, f.snr_required);
+  field("fault.margin_db", "fault_margin_db", f.margin);
+  field("fault.ack_timeout", nullptr, f.ack_timeout);
+  field("fault.max_backoff_exp", nullptr, f.max_backoff_exp);
+  field("fault.max_attempts", nullptr, f.max_attempts);
+  field("fault.detect_timeouts", nullptr, f.detect_timeouts);
+  field("fault.random_flaps", "fault_flaps", f.random_flaps);
+  field("fault.flap_down_cycles", "fault_flap_down", f.flap_down_cycles);
+  field("fault.horizon", "fault_horizon", f.horizon);
+  field("fault.watchdog", nullptr, f.watchdog);
+  field("fault.watchdog_window", nullptr, f.watchdog_window);
+  field("fault.events", nullptr, f.events);
+}
+
+template <typename Name>
+constexpr bool kNamed = !std::is_null_pointer_v<Name>;
+
+template <typename T>
+Json fields_to_json(const T& object) {
+  Json::Object o;
+  visit_fields(object, [&o](auto key, auto, const auto& member) {
+    if constexpr (kNamed<decltype(key)>) o[key] = to_json(member);
+  });
+  return Json(std::move(o));
+}
+
+/// Reads every table field present in `object`; a key left over is not in
+/// the table and throws (schema drift must not be silently dropped — the
+/// string is a cache-key input).
+template <typename T>
+void fields_from_json(Json::Object object, T& out, const std::string& what) {
+  visit_fields(out, [&object](auto key, auto, auto& member) {
+    if constexpr (kNamed<decltype(key)>) {
+      const auto it = object.find(key);
+      if (it == object.end()) return;
+      from_json(it->second, member);
+      object.erase(it);
+    }
+  });
+  if (!object.empty()) {
+    throw std::invalid_argument("canonical config: unknown " + what +
+                                "key: " + object.begin()->first);
+  }
+}
+
+Json to_json(const std::vector<fault::Event>& events) {
+  Json::Array array;
+  array.reserve(events.size());
+  for (const fault::Event& event : events) {
+    array.push_back(fields_to_json(event));
+  }
+  return Json(std::move(array));
+}
+
+void from_json(const Json& json, std::vector<fault::Event>& events) {
+  for (const Json& item : json.as_array()) {
+    fault::Event event;
+    fields_from_json(item.as_object(), event, "event ");
+    events.push_back(event);
+  }
 }
 
 /// Parses "src:dst@cycle" (OWN-256 cluster pair, rerouted online) or
@@ -69,68 +331,36 @@ fault::Event parse_token_loss(const std::string& s) {
   return event;
 }
 
-Json event_to_json(const fault::Event& event) {
-  Json::Object object;
-  object["at"] = Json(event.at);
-  object["down_cycles"] = Json(event.down_cycles);
-  object["dst_cluster"] = Json(event.dst_cluster);
-  object["kind"] = Json(to_string(event.kind));
-  object["link"] = Json(event.link);
-  object["medium"] = Json(event.medium);
-  object["recovery"] = Json(event.recovery);
-  object["src_cluster"] = Json(event.src_cluster);
-  return Json(std::move(object));
-}
-
-fault::Event event_from_json(const Json& json) {
-  fault::Event event;
-  for (const auto& [key, value] : json.as_object()) {
-    if (key == "at") {
-      event.at = value.as_int();
-    } else if (key == "down_cycles") {
-      event.down_cycles = value.as_int();
-    } else if (key == "dst_cluster") {
-      event.dst_cluster = static_cast<int>(value.as_int());
-    } else if (key == "kind") {
-      event.kind = parse_event_kind(value.as_string());
-    } else if (key == "link") {
-      event.link = static_cast<int>(value.as_int());
-    } else if (key == "medium") {
-      event.medium = static_cast<int>(value.as_int());
-    } else if (key == "recovery") {
-      event.recovery = value.as_int();
-    } else if (key == "src_cluster") {
-      event.src_cluster = static_cast<int>(value.as_int());
-    } else {
-      throw std::invalid_argument("canonical config: unknown event key: " +
-                                  key);
-    }
-  }
-  return event;
-}
-
-Scenario parse_scenario(const std::string& name) {
-  if (name == "ideal") return Scenario::kIdeal;
-  if (name == "conservative") return Scenario::kConservative;
-  throw std::invalid_argument("bad scenario: " + name);
-}
-
-const char* scenario_name(Scenario scenario) {
-  return scenario == Scenario::kConservative ? "conservative" : "ideal";
-}
-
-KernelMode parse_kernel(const std::string& name) {
-  if (name == "activity") return KernelMode::kActivity;
-  if (name == "lockstep") return KernelMode::kLockstep;
-  if (name == "parallel") return KernelMode::kParallel;
-  throw std::invalid_argument(
-      "bad kernel (want activity|lockstep|parallel): " + name);
-}
-
 }  // namespace
 
-ExperimentConfig parse_experiment_config(const Config& args) {
+const std::vector<std::string>& experiment_config_keys() {
+  static const std::vector<std::string> keys = [] {
+    std::vector<std::string> names(std::begin(kHandParsedKeys),
+                                   std::end(kHandParsedKeys));
+    ExperimentConfig probe;
+    visit_fields(probe, [&names](auto, auto name, auto&) {
+      if constexpr (kNamed<decltype(name)>) names.emplace_back(name);
+    });
+    std::sort(names.begin(), names.end());
+    return names;
+  }();
+  return keys;
+}
+
+ExperimentConfig parse_experiment_config(
+    const Config& args, const std::vector<std::string>& caller_keys) {
+  const std::vector<std::string>& known = experiment_config_keys();
+  for (const std::string& key : args.keys()) {
+    if (!std::binary_search(known.begin(), known.end(), key) &&
+        std::find(caller_keys.begin(), caller_keys.end(), key) ==
+            caller_keys.end()) {
+      throw std::invalid_argument("unknown config key: " + key);
+    }
+  }
+
   ExperimentConfig config;
+  // Shorter phases than RunPhases{}: the key=value vocabulary's defaults.
+  config.phases = RunPhases{1500, 4000, 30000};
   const std::string topology = args.get_string("topology", "own");
   if (topology.rfind("file:", 0) == 0) {
     // topology=file:PATH — load the file body NOW so the cache key, the
@@ -150,65 +380,24 @@ ExperimentConfig parse_experiment_config(const Config& args) {
       throw std::invalid_argument("topology=file needs a path: file:PATH");
     }
   }
-  config.pattern = parse_pattern(args.get_string("pattern", "UN"));
-  config.options.num_cores =
-      static_cast<int>(args.get_int("cores", config.options.num_cores));
-  config.rate = args.get_double("rate", 0.004);
-  const std::int64_t own_config = args.get_int("config", 4);
-  if (own_config < 1 || own_config > 4) {
-    throw std::invalid_argument("config: want a Table IV row 1..4");
-  }
-  config.own_config = static_cast<OwnConfig>(own_config);
-  config.scenario = parse_scenario(args.get_string("scenario", "ideal"));
-  config.phases.warmup = args.get_int("warmup", 1500);
-  config.phases.measure = args.get_int("measure", 4000);
-  config.phases.drain_limit = args.get_int("drain", 30000);
-  config.injector.packet_flits =
-      static_cast<int>(args.get_int("packet_flits", 4));
-  config.injector.master_seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1));
 
-  // Topology sizing knobs (defaults reproduce the paper's setup).
-  config.options.concentration = static_cast<int>(
-      args.get_int("concentration", config.options.concentration));
-  config.options.num_vcs =
-      static_cast<int>(args.get_int("vcs", config.options.num_vcs));
-  config.options.buffer_depth = static_cast<int>(
-      args.get_int("buffer_depth", config.options.buffer_depth));
-  config.options.clock_ghz =
-      args.get_double("clock_ghz", config.options.clock_ghz);
-  config.options.ideal_arbitration =
-      args.get_bool("ideal_arbitration", config.options.ideal_arbitration);
-  config.options.cmesh_o1turn =
-      args.get_bool("o1turn", config.options.cmesh_o1turn);
+  visit_fields(config, [&args](auto, auto name, auto& member) {
+    if constexpr (kNamed<decltype(name)>) {
+      if (args.contains(name)) read_kv(args, name, member);
+    }
+  });
+
+  if (!args.contains("fault_seed")) {
+    config.fault.seed = config.injector.master_seed;
+  }
   if (args.contains("flit_bits")) {
-    config.options.flit_bits = static_cast<int>(args.require_int("flit_bits"));
     config.injector.flit_bits =
         static_cast<std::uint32_t>(config.options.flit_bits);
   }
-
-  if (args.contains("kernel")) {
-    config.kernel = parse_kernel(args.require_string("kernel"));
-  }
-  // Parallel-kernel execution knobs; result-neutral, so NOT part of the
-  // canonical config JSON below (same cache entry for any thread count).
-  config.threads = static_cast<int>(args.get_int("threads", 0));
-  config.partitions = static_cast<int>(args.get_int("partitions", 0));
   if (config.threads < 0) throw std::invalid_argument("threads: want >= 0");
   if (config.partitions < 0) {
     throw std::invalid_argument("partitions: want >= 0");
   }
-
-  config.fault.enabled = args.get_bool("fault", false);
-  config.fault.seed = static_cast<std::uint64_t>(
-      args.get_int("fault_seed",
-                   static_cast<std::int64_t>(config.injector.master_seed)));
-  config.fault.ber = args.get_double("fault_ber", -1.0);
-  config.fault.margin = Decibels{args.get_double("fault_margin_db", 2.5)};
-  config.fault.random_flaps =
-      static_cast<int>(args.get_int("fault_flaps", 0));
-  config.fault.flap_down_cycles = args.get_int("fault_flap_down", 200);
-  config.fault.horizon = args.get_int("fault_horizon", 4000);
   if (args.contains("fault_kill")) {
     config.fault.events.push_back(
         parse_kill(args.require_string("fault_kill")));
@@ -219,42 +408,12 @@ ExperimentConfig parse_experiment_config(const Config& args) {
   }
   const Cycle watchdog_window = args.get_int("watchdog", 0);
   config.fault.watchdog = watchdog_window > 0;
-  config.fault.watchdog_window =
-      config.fault.watchdog ? watchdog_window : Cycle{20000};
-
-  adapt::AdaptConfig& a = config.adapt;
-  a.enabled = args.get_bool("adapt", false);
-  a.react = args.get_bool("adapt_react", a.react);
-  a.refresh = args.get_int("adapt_refresh", a.refresh);
-  a.variation_seed = static_cast<std::uint64_t>(args.get_int(
-      "adapt_seed", static_cast<std::int64_t>(a.variation_seed)));
-  a.variation_sigma_db = args.get_double("adapt_sigma_db", a.variation_sigma_db);
-  a.ring_sigma_c = args.get_double("adapt_ring_sigma_c", a.ring_sigma_c);
-  a.snr_required =
-      Decibels{args.get_double("adapt_snr_required_db", a.snr_required.db())};
-  a.base_margin =
-      Decibels{args.get_double("adapt_margin_db", a.base_margin.db())};
-  a.temp_coeff_db_per_c =
-      args.get_double("adapt_temp_coeff", a.temp_coeff_db_per_c);
-  a.thermal_alpha = args.get_double("adapt_alpha", a.thermal_alpha);
-  a.thermal_iterations = static_cast<int>(
-      args.get_int("adapt_iterations", a.thermal_iterations));
-  a.backoff_enter_db = args.get_double("adapt_backoff_enter", a.backoff_enter_db);
-  a.backoff_exit_db = args.get_double("adapt_backoff_exit", a.backoff_exit_db);
-  a.backoff_gain_db = args.get_double("adapt_backoff_gain", a.backoff_gain_db);
-  a.max_backoff =
-      static_cast<int>(args.get_int("adapt_max_backoff", a.max_backoff));
-  a.sustain = static_cast<int>(args.get_int("adapt_sustain", a.sustain));
-  a.realloc_enter_db =
-      args.get_double("adapt_realloc_enter", a.realloc_enter_db);
-  a.realloc_exit_db = args.get_double("adapt_realloc_exit", a.realloc_exit_db);
-  a.trim_uw_per_c = args.get_double("adapt_trim_uw", a.trim_uw_per_c);
+  if (config.fault.watchdog) config.fault.watchdog_window = watchdog_window;
   return config;
 }
 
 std::string canonical_config_json(const ExperimentConfig& config) {
-  Json::Object o;
-  o["topology"] = Json(to_string(config.topology));
+  Json json = fields_to_json(config);
   if (config.topology == TopologyKind::kFile) {
     // The cache key must cover the file *content* (not its path — the same
     // file moved must hit, the same path mutated must miss) and the
@@ -265,268 +424,35 @@ std::string canonical_config_json(const ExperimentConfig& config) {
         throw std::logic_error(
             "canonical config: file topology without loaded text or sha256");
       }
-      Sha256 hasher;
-      hasher.update(config.options.topofile_text);
-      sha = hasher.hex_digest();
+      sha = sha256_hex(config.options.topofile_text);
     }
-    o["topofile.sha256"] = Json(std::move(sha));
-    o["topofile.generator"] = Json(topofile::kTopofileGeneratorVersion);
+    json[kTopofileShaKey] = Json(std::move(sha));
+    json[kTopofileGeneratorKey] = Json(topofile::kTopofileGeneratorVersion);
   }
-  o["pattern"] = Json(to_string(config.pattern));
-  o["rate"] = Json(config.rate);
-  o["own_config"] = Json(static_cast<int>(config.own_config));
-  o["scenario"] = Json(scenario_name(config.scenario));
-
-  o["options.num_cores"] = Json(config.options.num_cores);
-  o["options.concentration"] = Json(config.options.concentration);
-  o["options.num_vcs"] = Json(config.options.num_vcs);
-  o["options.buffer_depth"] = Json(config.options.buffer_depth);
-  o["options.max_packet_flits"] = Json(config.options.max_packet_flits);
-  o["options.clock_ghz"] = Json(config.options.clock_ghz);
-  o["options.flit_bits"] = Json(config.options.flit_bits);
-  o["options.electrical_cpf"] = Json(config.options.electrical_cpf);
-  o["options.photonic_cpf"] = Json(config.options.photonic_cpf);
-  o["options.wireless_cpf"] = Json(config.options.wireless_cpf);
-  o["options.ideal_arbitration"] = Json(config.options.ideal_arbitration);
-  o["options.cmesh_o1turn"] = Json(config.options.cmesh_o1turn);
-
-  o["phases.warmup"] = Json(config.phases.warmup);
-  o["phases.measure"] = Json(config.phases.measure);
-  o["phases.drain_limit"] = Json(config.phases.drain_limit);
-
-  o["injector.packet_flits"] = Json(config.injector.packet_flits);
-  o["injector.flit_bits"] =
-      Json(static_cast<std::int64_t>(config.injector.flit_bits));
-  o["injector.master_seed"] =
-      Json(static_cast<std::int64_t>(config.injector.master_seed));
-
-  const PowerParams& p = config.power;
-  o["power.buffer_write_pj_per_bit"] = Json(p.buffer_write_pj_per_bit);
-  o["power.buffer_read_pj_per_bit"] = Json(p.buffer_read_pj_per_bit);
-  o["power.xbar_base_pj_per_bit"] = Json(p.xbar_base_pj_per_bit);
-  o["power.xbar_radix_slope_pj_per_bit"] = Json(p.xbar_radix_slope_pj_per_bit);
-  o["power.alloc_pj_per_op"] = Json(p.alloc_pj_per_op);
-  o["power.leak_mw_per_input_port"] = Json(p.leak_mw_per_input_port);
-  o["power.leak_mw_per_output_port"] = Json(p.leak_mw_per_output_port);
-  o["power.leak_uw_per_crosspoint"] = Json(p.leak_uw_per_crosspoint);
-  o["power.wire_pj_per_bit_mm"] = Json(p.wire_pj_per_bit_mm);
-  o["power.photonic_dynamic_pj_per_bit"] = Json(p.photonic_dynamic_pj_per_bit);
-  o["power.lambda_rate_gbps"] = Json(p.lambda_rate_gbps);
-  o["power.ring_tuning_uw"] = Json(p.ring_tuning_uw);
-  o["power.legacy_wireless_pj_per_bit"] = Json(p.legacy_wireless_pj_per_bit);
-  o["power.wireless_static_mw_per_channel"] =
-      Json(p.wireless_static_mw_per_channel);
-
-  const adapt::AdaptConfig& a = config.adapt;
-  o["adapt.enabled"] = Json(a.enabled);
-  o["adapt.react"] = Json(a.react);
-  o["adapt.refresh"] = Json(a.refresh);
-  o["adapt.variation_seed"] = Json(static_cast<std::int64_t>(a.variation_seed));
-  o["adapt.variation_sigma_db"] = Json(a.variation_sigma_db);
-  o["adapt.ring_sigma_c"] = Json(a.ring_sigma_c);
-  o["adapt.snr_required_db"] = Json(a.snr_required.db());
-  o["adapt.base_margin_db"] = Json(a.base_margin.db());
-  o["adapt.temp_coeff_db_per_c"] = Json(a.temp_coeff_db_per_c);
-  o["adapt.thermal_alpha"] = Json(a.thermal_alpha);
-  o["adapt.thermal_iterations"] = Json(a.thermal_iterations);
-  o["adapt.backoff_enter_db"] = Json(a.backoff_enter_db);
-  o["adapt.backoff_exit_db"] = Json(a.backoff_exit_db);
-  o["adapt.backoff_gain_db"] = Json(a.backoff_gain_db);
-  o["adapt.max_backoff"] = Json(a.max_backoff);
-  o["adapt.sustain"] = Json(a.sustain);
-  o["adapt.realloc_enter_db"] = Json(a.realloc_enter_db);
-  o["adapt.realloc_exit_db"] = Json(a.realloc_exit_db);
-  o["adapt.trim_uw_per_c"] = Json(a.trim_uw_per_c);
-
-  const fault::CampaignConfig& f = config.fault;
-  o["fault.enabled"] = Json(f.enabled);
-  o["fault.seed"] = Json(static_cast<std::int64_t>(f.seed));
-  o["fault.ber"] = Json(f.ber);
-  o["fault.snr_required_db"] = Json(f.snr_required.db());
-  o["fault.margin_db"] = Json(f.margin.db());
-  o["fault.ack_timeout"] = Json(f.ack_timeout);
-  o["fault.max_backoff_exp"] = Json(f.max_backoff_exp);
-  o["fault.max_attempts"] = Json(f.max_attempts);
-  o["fault.detect_timeouts"] = Json(f.detect_timeouts);
-  o["fault.random_flaps"] = Json(f.random_flaps);
-  o["fault.flap_down_cycles"] = Json(f.flap_down_cycles);
-  o["fault.horizon"] = Json(f.horizon);
-  o["fault.watchdog"] = Json(f.watchdog);
-  o["fault.watchdog_window"] = Json(f.watchdog_window);
-  Json::Array events;
-  events.reserve(f.events.size());
-  for (const fault::Event& event : f.events) {
-    events.push_back(event_to_json(event));
-  }
-  o["fault.events"] = Json(std::move(events));
-
-  return Json(std::move(o)).dump();
+  return json.dump();
 }
 
 ExperimentConfig experiment_config_from_canonical_json(std::string_view json) {
-  const Json parsed = Json::parse(json);
-  ExperimentConfig c;
-  for (const auto& [key, v] : parsed.as_object()) {
-    if (key == "topology") {
-      c.topology = parse_topology(v.as_string());
-    } else if (key == "pattern") {
-      c.pattern = parse_pattern(v.as_string());
-    } else if (key == "rate") {
-      c.rate = v.as_double();
-    } else if (key == "own_config") {
-      c.own_config = static_cast<OwnConfig>(v.as_int());
-    } else if (key == "scenario") {
-      c.scenario = parse_scenario(v.as_string());
-    } else if (key == "options.num_cores") {
-      c.options.num_cores = static_cast<int>(v.as_int());
-    } else if (key == "options.concentration") {
-      c.options.concentration = static_cast<int>(v.as_int());
-    } else if (key == "options.num_vcs") {
-      c.options.num_vcs = static_cast<int>(v.as_int());
-    } else if (key == "options.buffer_depth") {
-      c.options.buffer_depth = static_cast<int>(v.as_int());
-    } else if (key == "options.max_packet_flits") {
-      c.options.max_packet_flits = static_cast<int>(v.as_int());
-    } else if (key == "options.clock_ghz") {
-      c.options.clock_ghz = v.as_double();
-    } else if (key == "options.flit_bits") {
-      c.options.flit_bits = static_cast<int>(v.as_int());
-    } else if (key == "options.electrical_cpf") {
-      c.options.electrical_cpf = static_cast<int>(v.as_int());
-    } else if (key == "options.photonic_cpf") {
-      c.options.photonic_cpf = static_cast<int>(v.as_int());
-    } else if (key == "options.wireless_cpf") {
-      c.options.wireless_cpf = static_cast<int>(v.as_int());
-    } else if (key == "options.ideal_arbitration") {
-      c.options.ideal_arbitration = v.as_bool();
-    } else if (key == "options.cmesh_o1turn") {
-      c.options.cmesh_o1turn = v.as_bool();
-    } else if (key == "phases.warmup") {
-      c.phases.warmup = v.as_int();
-    } else if (key == "phases.measure") {
-      c.phases.measure = v.as_int();
-    } else if (key == "phases.drain_limit") {
-      c.phases.drain_limit = v.as_int();
-    } else if (key == "injector.packet_flits") {
-      c.injector.packet_flits = static_cast<int>(v.as_int());
-    } else if (key == "injector.flit_bits") {
-      c.injector.flit_bits = static_cast<std::uint32_t>(v.as_int());
-    } else if (key == "injector.master_seed") {
-      c.injector.master_seed = static_cast<std::uint64_t>(v.as_int());
-    } else if (key == "power.buffer_write_pj_per_bit") {
-      c.power.buffer_write_pj_per_bit = v.as_double();
-    } else if (key == "power.buffer_read_pj_per_bit") {
-      c.power.buffer_read_pj_per_bit = v.as_double();
-    } else if (key == "power.xbar_base_pj_per_bit") {
-      c.power.xbar_base_pj_per_bit = v.as_double();
-    } else if (key == "power.xbar_radix_slope_pj_per_bit") {
-      c.power.xbar_radix_slope_pj_per_bit = v.as_double();
-    } else if (key == "power.alloc_pj_per_op") {
-      c.power.alloc_pj_per_op = v.as_double();
-    } else if (key == "power.leak_mw_per_input_port") {
-      c.power.leak_mw_per_input_port = v.as_double();
-    } else if (key == "power.leak_mw_per_output_port") {
-      c.power.leak_mw_per_output_port = v.as_double();
-    } else if (key == "power.leak_uw_per_crosspoint") {
-      c.power.leak_uw_per_crosspoint = v.as_double();
-    } else if (key == "power.wire_pj_per_bit_mm") {
-      c.power.wire_pj_per_bit_mm = v.as_double();
-    } else if (key == "power.photonic_dynamic_pj_per_bit") {
-      c.power.photonic_dynamic_pj_per_bit = v.as_double();
-    } else if (key == "power.lambda_rate_gbps") {
-      c.power.lambda_rate_gbps = v.as_double();
-    } else if (key == "power.ring_tuning_uw") {
-      c.power.ring_tuning_uw = v.as_double();
-    } else if (key == "power.legacy_wireless_pj_per_bit") {
-      c.power.legacy_wireless_pj_per_bit = v.as_double();
-    } else if (key == "power.wireless_static_mw_per_channel") {
-      c.power.wireless_static_mw_per_channel = v.as_double();
-    } else if (key == "adapt.enabled") {
-      c.adapt.enabled = v.as_bool();
-    } else if (key == "adapt.react") {
-      c.adapt.react = v.as_bool();
-    } else if (key == "adapt.refresh") {
-      c.adapt.refresh = v.as_int();
-    } else if (key == "adapt.variation_seed") {
-      c.adapt.variation_seed = static_cast<std::uint64_t>(v.as_int());
-    } else if (key == "adapt.variation_sigma_db") {
-      c.adapt.variation_sigma_db = v.as_double();
-    } else if (key == "adapt.ring_sigma_c") {
-      c.adapt.ring_sigma_c = v.as_double();
-    } else if (key == "adapt.snr_required_db") {
-      c.adapt.snr_required = Decibels{v.as_double()};
-    } else if (key == "adapt.base_margin_db") {
-      c.adapt.base_margin = Decibels{v.as_double()};
-    } else if (key == "adapt.temp_coeff_db_per_c") {
-      c.adapt.temp_coeff_db_per_c = v.as_double();
-    } else if (key == "adapt.thermal_alpha") {
-      c.adapt.thermal_alpha = v.as_double();
-    } else if (key == "adapt.thermal_iterations") {
-      c.adapt.thermal_iterations = static_cast<int>(v.as_int());
-    } else if (key == "adapt.backoff_enter_db") {
-      c.adapt.backoff_enter_db = v.as_double();
-    } else if (key == "adapt.backoff_exit_db") {
-      c.adapt.backoff_exit_db = v.as_double();
-    } else if (key == "adapt.backoff_gain_db") {
-      c.adapt.backoff_gain_db = v.as_double();
-    } else if (key == "adapt.max_backoff") {
-      c.adapt.max_backoff = static_cast<int>(v.as_int());
-    } else if (key == "adapt.sustain") {
-      c.adapt.sustain = static_cast<int>(v.as_int());
-    } else if (key == "adapt.realloc_enter_db") {
-      c.adapt.realloc_enter_db = v.as_double();
-    } else if (key == "adapt.realloc_exit_db") {
-      c.adapt.realloc_exit_db = v.as_double();
-    } else if (key == "adapt.trim_uw_per_c") {
-      c.adapt.trim_uw_per_c = v.as_double();
-    } else if (key == "fault.enabled") {
-      c.fault.enabled = v.as_bool();
-    } else if (key == "fault.seed") {
-      c.fault.seed = static_cast<std::uint64_t>(v.as_int());
-    } else if (key == "fault.ber") {
-      c.fault.ber = v.as_double();
-    } else if (key == "fault.snr_required_db") {
-      c.fault.snr_required = Decibels{v.as_double()};
-    } else if (key == "fault.margin_db") {
-      c.fault.margin = Decibels{v.as_double()};
-    } else if (key == "fault.ack_timeout") {
-      c.fault.ack_timeout = static_cast<int>(v.as_int());
-    } else if (key == "fault.max_backoff_exp") {
-      c.fault.max_backoff_exp = static_cast<int>(v.as_int());
-    } else if (key == "fault.max_attempts") {
-      c.fault.max_attempts = static_cast<int>(v.as_int());
-    } else if (key == "fault.detect_timeouts") {
-      c.fault.detect_timeouts = static_cast<int>(v.as_int());
-    } else if (key == "fault.random_flaps") {
-      c.fault.random_flaps = static_cast<int>(v.as_int());
-    } else if (key == "fault.flap_down_cycles") {
-      c.fault.flap_down_cycles = v.as_int();
-    } else if (key == "fault.horizon") {
-      c.fault.horizon = v.as_int();
-    } else if (key == "fault.watchdog") {
-      c.fault.watchdog = v.as_bool();
-    } else if (key == "fault.watchdog_window") {
-      c.fault.watchdog_window = v.as_int();
-    } else if (key == "fault.events") {
-      for (const Json& event : v.as_array()) {
-        c.fault.events.push_back(event_from_json(event));
-      }
-    } else if (key == "topofile.sha256") {
-      // The file body itself is not in the canonical JSON; carry its hash so
-      // re-keying the reconstructed config reproduces the original key.
-      c.topofile_sha256 = v.as_string();
-    } else if (key == "topofile.generator") {
-      if (v.as_string() != topofile::kTopofileGeneratorVersion) {
-        throw std::invalid_argument(
-            "canonical config: topology file was keyed by generator '" +
-            v.as_string() + "', this build is '" +
-            topofile::kTopofileGeneratorVersion + "'");
-      }
-    } else {
-      throw std::invalid_argument("canonical config: unknown key: " + key);
+  Json parsed = Json::parse(json);
+  Json::Object& object = parsed.as_object();
+  ExperimentConfig config;
+  if (const auto it = object.find(kTopofileGeneratorKey); it != object.end()) {
+    if (it->second.as_string() != topofile::kTopofileGeneratorVersion) {
+      throw std::invalid_argument(
+          "canonical config: topology file was keyed by generator '" +
+          it->second.as_string() + "', this build is '" +
+          topofile::kTopofileGeneratorVersion + "'");
     }
+    object.erase(it);
   }
-  return c;
+  if (const auto it = object.find(kTopofileShaKey); it != object.end()) {
+    // The file body itself is not in the canonical JSON; carry its hash so
+    // re-keying the reconstructed config reproduces the original key.
+    config.topofile_sha256 = it->second.as_string();
+    object.erase(it);
+  }
+  fields_from_json(std::move(object), config, "");
+  return config;
 }
 
 std::string code_version() {

@@ -26,6 +26,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/config.hpp"
 #include "driver/simulate.hpp"
@@ -33,12 +34,17 @@
 namespace ownsim {
 
 /// Builds an ExperimentConfig from flat key=value settings (the ownsim_cli
-/// vocabulary: topology/cores/pattern/rate/config/scenario/warmup/measure/
-/// drain/packet_flits/seed/kernel/vcs/buffer_depth/concentration/clock_ghz/
-/// ideal_arbitration/o1turn and the fault_* campaign knobs). Unknown keys
-/// are ignored (callers own their extra keys, e.g. the CLI's `report=`).
-/// Throws std::invalid_argument / std::runtime_error on malformed values.
-ExperimentConfig parse_experiment_config(const Config& args);
+/// vocabulary, `experiment_config_keys()`). Every field is declared once, in
+/// the field table of experiment_config.cpp, which also drives the canonical
+/// JSON. A key that is neither an experiment key nor one of `caller_keys`
+/// (the caller's own vocabulary, e.g. the CLI's `report`) throws
+/// std::invalid_argument naming it; malformed values throw
+/// std::invalid_argument / std::runtime_error.
+ExperimentConfig parse_experiment_config(
+    const Config& args, const std::vector<std::string>& caller_keys = {});
+
+/// Every key=value name `parse_experiment_config` accepts, sorted.
+const std::vector<std::string>& experiment_config_keys();
 
 /// Canonical JSON of `config` (see file comment): sorted keys, numfmt
 /// number forms. Serializing the same config always yields the same bytes.

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "adapt/controller.hpp"
-#include "common/numfmt.hpp"
 #include "exec/thread_pool.hpp"
 #include "metrics/report.hpp"
 #include "serve/json.hpp"
@@ -56,13 +55,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 const RunHooks& hooks) {
   Network network(build_experiment_spec(config));
-  if (config.kernel.has_value()) network.engine().set_mode(*config.kernel);
-  // kernel=parallel (or OWNSIM_PDES=1) needs a partition plan; install or
-  // replace one when the config carries explicit threads/partitions knobs.
-  // Thread and partition counts never change a simulated result (§5i).
-  if (network.engine().mode() == KernelMode::kParallel &&
-      (!network.engine().parallel_configured() || config.threads > 0 ||
-       config.partitions > 0)) {
+  network.engine().set_mode(config.kernel);
+  // kernel=parallel needs a partition plan. Thread and partition counts
+  // never change a simulated result (§5i).
+  if (config.kernel == KernelMode::kParallel) {
     const unsigned threads = config.threads > 0
                                  ? static_cast<unsigned>(config.threads)
                                  : exec::default_threads();
@@ -154,72 +150,51 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
 }
 
 std::string experiment_result_json(const ExperimentResult& result) {
-  // Keys in sorted order at every level (see append_run_result_canonical_json
-  // for why: parse -> dump through the serve JSON layer must be a no-op).
-  std::string out;
-  out += "{";
+  using serve::Json;
+  Json::Object o;
   if (result.adapt.enabled) {
     // Emitted only when the adaptation loop ran: adapt=0 results keep
     // today's byte layout exactly.
-    out += "\"adapt\":{\"backoffs\":";
-    out += format_int(result.adapt.backoffs);
-    out += ",\"enabled\":true,\"min_margin_db\":";
-    out += format_double(result.adapt.min_margin_db);
-    out += ",\"peak_temp_c\":";
-    out += format_double(result.adapt.peak_temp_c);
-    out += ",\"reallocations\":";
-    out += format_int(result.adapt.reallocations);
-    out += ",\"refreshes\":";
-    out += format_int(result.adapt.refreshes);
-    out += ",\"trim_avg_mw\":";
-    out += format_double(result.adapt.trim_avg_mw);
-    out += "},";
+    Json::Object adapt;
+    adapt["backoffs"] = Json(result.adapt.backoffs);
+    adapt["enabled"] = Json(true);
+    adapt["min_margin_db"] = Json(result.adapt.min_margin_db);
+    adapt["peak_temp_c"] = Json(result.adapt.peak_temp_c);
+    adapt["reallocations"] = Json(result.adapt.reallocations);
+    adapt["refreshes"] = Json(result.adapt.refreshes);
+    adapt["trim_avg_mw"] = Json(result.adapt.trim_avg_mw);
+    o["adapt"] = Json(std::move(adapt));
   }
-  out += "\"counters\":{";
-  bool first = true;
+  Json::Object counters;
   for (const auto& [name, value] : result.counters) {
-    if (!first) out += ",";
-    first = false;
-    serve::append_json_string(out, name);
-    out += ":";
-    out += format_int(value);
+    counters[name] = Json(value);
   }
-  out += "},\"energy_per_packet_pj\":";
-  out += format_double(result.energy_per_packet_pj);
-  out += ",\"fault\":{\"crc_errors\":";
-  out += format_int(result.fault.crc_errors);
-  out += ",\"flows_degraded\":";
-  out += format_int(result.fault.flows_degraded);
-  out += ",\"retransmissions\":";
-  out += format_int(result.fault.retransmissions);
-  out += ",\"token_recoveries\":";
-  out += format_int(result.fault.token_recoveries);
-  out += ",\"watchdog_trips\":";
-  out += format_int(result.fault.watchdog_trips);
-  out += "},\"name\":";
-  serve::append_json_string(out, result.name);
-  out += ",\"power\":{\"electrical_link_w\":";
-  out += format_double(result.power.electrical_link_w);
-  out += ",\"photonic_laser_w\":";
-  out += format_double(result.power.photonic_laser_w);
-  out += ",\"photonic_link_w\":";
-  out += format_double(result.power.photonic_link_w);
-  out += ",\"router_dynamic_w\":";
-  out += format_double(result.power.router_dynamic_w);
-  out += ",\"router_static_w\":";
-  out += format_double(result.power.router_static_w);
-  out += ",\"total_w\":";
-  out += format_double(result.power.total_w());
-  out += ",\"wireless_link_w\":";
-  out += format_double(result.power.wireless_link_w);
-  out += ",\"wireless_static_w\":";
-  out += format_double(result.power.wireless_static_w);
-  out += "},\"run\":";
-  append_run_result_canonical_json(out, result.run);
-  out += ",\"watchdog_tripped\":";
-  out += result.watchdog_tripped ? "true" : "false";
-  out += "}";
-  return out;
+  o["counters"] = Json(std::move(counters));
+  o["energy_per_packet_pj"] = Json(result.energy_per_packet_pj);
+
+  Json::Object fault;
+  fault["crc_errors"] = Json(result.fault.crc_errors);
+  fault["flows_degraded"] = Json(result.fault.flows_degraded);
+  fault["retransmissions"] = Json(result.fault.retransmissions);
+  fault["token_recoveries"] = Json(result.fault.token_recoveries);
+  fault["watchdog_trips"] = Json(result.fault.watchdog_trips);
+  o["fault"] = Json(std::move(fault));
+  o["name"] = Json(result.name);
+
+  const PowerBreakdown& p = result.power;
+  Json::Object power;
+  power["electrical_link_w"] = Json(p.electrical_link_w);
+  power["photonic_laser_w"] = Json(p.photonic_laser_w);
+  power["photonic_link_w"] = Json(p.photonic_link_w);
+  power["router_dynamic_w"] = Json(p.router_dynamic_w);
+  power["router_static_w"] = Json(p.router_static_w);
+  power["total_w"] = Json(p.total_w());
+  power["wireless_link_w"] = Json(p.wireless_link_w);
+  power["wireless_static_w"] = Json(p.wireless_static_w);
+  o["power"] = Json(std::move(power));
+  o["run"] = run_result_canonical_json(result.run);
+  o["watchdog_tripped"] = Json(result.watchdog_tripped);
+  return Json(std::move(o)).dump();
 }
 
 }  // namespace ownsim

@@ -37,12 +37,10 @@ struct ExperimentConfig {
   Injector::Params injector;  ///< .rate overridden by `rate`
   PowerParams power;
 
-  /// Simulation kernel override. Unset: the engine default (activity-driven;
-  /// lockstep when OWNSIM_LOCKSTEP=1, parallel when OWNSIM_PDES=1). All
-  /// three kernels are bit-identical (DESIGN.md §5e/§5i); lockstep is the
-  /// slow baseline kept for differential testing and A/B timing, parallel
-  /// the partitioned multi-threaded kernel.
-  std::optional<KernelMode> kernel;
+  /// Simulation kernel. All three kernels are bit-identical (DESIGN.md
+  /// §5e/§5i); lockstep is the slow baseline kept for differential testing
+  /// and A/B timing, parallel the partitioned multi-threaded kernel.
+  KernelMode kernel = KernelMode::kActivity;
 
   /// Parallel-kernel worker threads; 0 = exec::default_threads() (which
   /// honors OWNSIM_THREADS). Ignored by the other kernels. Excluded from

@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "obs/trace.hpp"  // json_escape
+#include "serve/json.hpp"
 
 namespace ownsim {
 namespace {
@@ -32,19 +32,20 @@ bool bench_quick_mode() {
 }
 
 void write_bench_record_json(std::ostream& os, const BenchRecord& record) {
-  os << "{\"schema_version\": " << kBenchSchemaVersion << ", \"bench\": \""
-     << obs::json_escape(record.bench) << "\", \"paper_ref\": \""
-     << obs::json_escape(record.paper_ref) << "\", \"config\": \""
-     << obs::json_escape(record.config) << "\", \"threads\": "
-     << record.threads << ", \"kernel\": \""
-     << obs::json_escape(record.kernel) << "\", \"metrics\": [";
+  using serve::json_string;
+  os << "{\"schema_version\": " << kBenchSchemaVersion
+     << ", \"bench\": " << json_string(record.bench)
+     << ", \"paper_ref\": " << json_string(record.paper_ref)
+     << ", \"config\": " << json_string(record.config)
+     << ", \"threads\": " << record.threads
+     << ", \"kernel\": " << json_string(record.kernel) << ", \"metrics\": [";
   for (std::size_t i = 0; i < record.metrics.size(); ++i) {
     const BenchMetric& m = record.metrics[i];
-    os << (i == 0 ? "" : ", ") << "{\"name\": \"" << obs::json_escape(m.name)
-       << "\", \"value\": " << json_number(m.value) << ", \"unit\": \""
-       << obs::json_escape(m.unit)
-       << "\", \"deterministic\": " << (m.deterministic ? "true" : "false")
-       << ", \"better\": \"" << obs::json_escape(m.better) << "\"}";
+    os << (i == 0 ? "" : ", ") << "{\"name\": " << json_string(m.name)
+       << ", \"value\": " << json_number(m.value)
+       << ", \"unit\": " << json_string(m.unit)
+       << ", \"deterministic\": " << (m.deterministic ? "true" : "false")
+       << ", \"better\": " << json_string(m.better) << "}";
   }
   os << "]}";
 }

@@ -6,8 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/numfmt.hpp"
-
 namespace ownsim {
 namespace {
 
@@ -133,8 +131,9 @@ void NetworkReport::write_json(std::ostream& os) const {
   os << "{\n  \"elapsed_cycles\": " << elapsed_ << ",\n  \"channels\": [";
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     const auto& c = channels_[i];
-    os << (i == 0 ? "" : ",") << "\n    {\"name\": \"" << c.name
-       << "\", \"medium\": \"" << to_string(c.medium)
+    os << (i == 0 ? "" : ",") << "\n    {\"name\": "
+       << serve::json_string(c.name) << ", \"medium\": \""
+       << to_string(c.medium)
        << "\", \"shared\": " << (c.shared ? "true" : "false")
        << ", \"flits\": " << c.flits << ", \"utilization\": " << c.utilization
        << ", \"token_wait_share\": " << c.token_wait_share << "}";
@@ -148,8 +147,9 @@ void NetworkReport::write_json(std::ostream& os) const {
   }
   os << "\n  ],\n  \"counters\": {";
   for (std::size_t i = 0; i < counters_.size(); ++i) {
-    os << (i == 0 ? "" : ",") << "\n    \"" << counters_[i].first
-       << "\": " << counters_[i].second;
+    os << (i == 0 ? "" : ",") << "\n    "
+       << serve::json_string(counters_[i].first) << ": "
+       << counters_[i].second;
   }
   os << "\n  }\n}\n";
 }
@@ -165,15 +165,6 @@ std::string sweep_telemetry_summary(const SweepTelemetry& telemetry) {
      << compact_count(telemetry.cycles_simulated) << " cycles in "
      << std::fixed << std::setprecision(2) << telemetry.wall_seconds << " s";
   return os.str();
-}
-
-void write_sweep_telemetry_json(std::ostream& os,
-                                const SweepTelemetry& telemetry) {
-  os << "{\"threads\": " << telemetry.threads
-     << ", \"points_run\": " << telemetry.points_run
-     << ", \"points_cancelled\": " << telemetry.points_cancelled
-     << ", \"cycles_simulated\": " << telemetry.cycles_simulated
-     << ", \"wall_seconds\": " << telemetry.wall_seconds << "}\n";
 }
 
 std::string run_profile_summary(const RunResult& result) {
@@ -204,61 +195,45 @@ void write_run_profile_json(std::ostream& os, const RunResult& result) {
      << ", \"peak_rss_bytes\": " << p.peak_rss_bytes << "}\n";
 }
 
-void append_run_result_canonical_json(std::string& out,
-                                      const RunResult& result) {
-  // Keys in sorted order so a parse -> dump round trip through the serve
-  // JSON layer (sorted std::map) reproduces these bytes exactly.
-  out += "{\"avg_hops\":";
-  out += format_double(result.avg_hops);
-  out += ",\"avg_latency\":";
-  out += format_double(result.avg_latency);
-  out += ",\"avg_net_latency\":";
-  out += format_double(result.avg_net_latency);
-  out += ",\"cancelled\":";
-  out += result.cancelled ? "true" : "false";
-  out += ",\"cycles_simulated\":";
-  out += format_int(result.cycles_simulated);
-  out += ",\"drained\":";
-  out += result.drained ? "true" : "false";
-  out += ",\"latency_histogram\":{\"bin_width\":";
-  out += format_double(result.latency_histogram.bin_width());
+serve::Json run_result_canonical_json(const RunResult& result) {
+  using serve::Json;
+  const Histogram& histogram = result.latency_histogram;
   // Sparse nonzero bins as [index, count] pairs: an ARRAY, not an object
   // with numeric-string keys, so the ascending-index order survives a parse
   // -> dump round trip (JSON object keys would re-sort lexicographically).
-  out += ",\"bins\":[";
-  const auto& counts = result.latency_histogram.counts();
-  bool first = true;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "[";
-    out += format_uint(i);
-    out += ",";
-    out += format_int(counts[i]);
-    out += "]";
+  Json::Array bins;
+  for (std::size_t i = 0; i < histogram.counts().size(); ++i) {
+    if (histogram.counts()[i] == 0) continue;
+    bins.push_back(Json(Json::Array{Json(i), Json(histogram.counts()[i])}));
   }
-  out += "],\"lo\":";
-  out += format_double(result.latency_histogram.bin_lo(0));
-  out += ",\"overflow\":";
-  out += format_int(result.latency_histogram.overflow());
-  out += ",\"total\":";
-  out += format_int(result.latency_histogram.total());
-  out += ",\"underflow\":";
-  out += format_int(result.latency_histogram.underflow());
-  out += "},\"max_latency\":";
-  out += format_double(result.max_latency);
-  out += ",\"measured_packets\":";
-  out += format_int(result.measured_packets);
-  out += ",\"offered_rate\":";
-  out += format_double(result.offered_rate);
-  out += ",\"p50_latency\":";
-  out += format_double(result.p50_latency);
-  out += ",\"p99_latency\":";
-  out += format_double(result.p99_latency);
-  out += ",\"throughput\":";
-  out += format_double(result.throughput);
-  out += "}";
+  Json::Object latency_histogram;
+  latency_histogram["bin_width"] = Json(histogram.bin_width());
+  latency_histogram["bins"] = Json(std::move(bins));
+  latency_histogram["lo"] = Json(histogram.bin_lo(0));
+  latency_histogram["overflow"] = Json(histogram.overflow());
+  latency_histogram["total"] = Json(histogram.total());
+  latency_histogram["underflow"] = Json(histogram.underflow());
+
+  Json::Object o;
+  o["avg_hops"] = Json(result.avg_hops);
+  o["avg_latency"] = Json(result.avg_latency);
+  o["avg_net_latency"] = Json(result.avg_net_latency);
+  o["cancelled"] = Json(result.cancelled);
+  o["cycles_simulated"] = Json(result.cycles_simulated);
+  o["drained"] = Json(result.drained);
+  o["latency_histogram"] = Json(std::move(latency_histogram));
+  o["max_latency"] = Json(result.max_latency);
+  o["measured_packets"] = Json(result.measured_packets);
+  o["offered_rate"] = Json(result.offered_rate);
+  o["p50_latency"] = Json(result.p50_latency);
+  o["p99_latency"] = Json(result.p99_latency);
+  o["throughput"] = Json(result.throughput);
+  return Json(std::move(o));
+}
+
+void append_run_result_canonical_json(std::string& out,
+                                      const RunResult& result) {
+  run_result_canonical_json(result).dump_to(out);
 }
 
 std::string sweep_progress_line(const SweepProgress& progress) {

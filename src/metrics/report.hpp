@@ -14,6 +14,7 @@
 
 #include "metrics/sweep.hpp"
 #include "network/network.hpp"
+#include "serve/json.hpp"
 
 namespace ownsim {
 
@@ -71,10 +72,6 @@ class NetworkReport {
 /// "9 points (1 cancelled) on 4 threads: 1.2M cycles in 0.84 s".
 std::string sweep_telemetry_summary(const SweepTelemetry& telemetry);
 
-/// Telemetry as a flat JSON object (threads, points, cycles, wall time).
-void write_sweep_telemetry_json(std::ostream& os,
-                                const SweepTelemetry& telemetry);
-
 /// One-line progress report for `SweepOptions::progress` callbacks, e.g.
 /// "[ 3/9] rate 0.0030  1.2M cycles  0.84 s".
 std::string sweep_progress_line(const SweepProgress& progress);
@@ -87,12 +84,15 @@ std::string run_profile_summary(const RunResult& result);
 /// Profile as a flat JSON object (per-phase wall seconds, cycles/sec, RSS).
 void write_run_profile_json(std::ostream& os, const RunResult& result);
 
-/// Appends the deterministic fields of `result` as a canonical JSON object:
-/// sorted keys, shortest-round-trip number forms (common/numfmt), the
-/// latency histogram as sparse nonzero bins — and NOT the wall-clock
-/// `profile`. Exactly the fields `deterministic_eq` compares, so the bytes
-/// are stable across reruns, thread counts, kernels, and tracing. Feeds the
-/// serve result cache payload (driver/simulate: experiment_result_json).
+/// The deterministic fields of `result` as a canonical JSON object (sorted
+/// keys, shortest-round-trip number forms via serve::Json), the latency
+/// histogram as sparse nonzero bins — and NOT the wall-clock `profile`.
+/// Exactly the fields `deterministic_eq` compares, so the bytes are stable
+/// across reruns, thread counts, kernels, and tracing. Feeds the serve result
+/// cache payload (driver/simulate: experiment_result_json).
+serve::Json run_result_canonical_json(const RunResult& result);
+
+/// Appends `run_result_canonical_json(result)`, dumped, to `out`.
 void append_run_result_canonical_json(std::string& out,
                                       const RunResult& result);
 

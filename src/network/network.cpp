@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "exec/thread_pool.hpp"
 #include "obs/trace.hpp"
 
 namespace ownsim {
@@ -135,14 +134,6 @@ Network::Network(NetworkSpec spec) : spec_(std::move(spec)) {
   for (auto& r : routers_) r->bind_obs(obs_);
   for (auto& m : media_) m->bind_obs(obs_);
   for (auto& c : channels_) c->bind_obs(obs_);
-
-  // OWNSIM_PDES=1 put the engine in kParallel at construction; install the
-  // default plan right away so even driverless users (tests, examples) get
-  // the parallel kernel without extra wiring. The driver re-configures with
-  // explicit threads/partitions knobs when the config asks for them.
-  if (engine_.mode() == KernelMode::kParallel) {
-    configure_parallel(exec::default_threads());
-  }
 }
 
 ParallelPlan Network::build_partition_plan(int partitions) const {

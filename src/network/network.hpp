@@ -82,9 +82,7 @@ class Network {
 
   /// Builds the plan and installs it on the engine with `threads` workers
   /// (`engine().set_mode(kParallel)` first if needed; now() must be 0).
-  /// The Network constructor calls this automatically with
-  /// `exec::default_threads()` when OWNSIM_PDES=1 put the engine in
-  /// kParallel; the driver calls it explicitly for `kernel=parallel` runs.
+  /// `run_experiment` calls it for `kernel=parallel` runs.
   void configure_parallel(unsigned threads, int partitions = 0);
 
   // ---- observability --------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <ostream>
 
+#include "serve/json.hpp"
+
 namespace ownsim::obs {
 
 #if OWNSIM_OBS_ENABLED
@@ -32,7 +34,7 @@ void Registry::write_json(std::ostream& os) const {
   os << '{';
   bool first = true;
   for (const auto& [name, value] : slots_) {
-    os << (first ? "" : ", ") << '"' << name << "\": " << value;
+    os << (first ? "" : ", ") << serve::json_string(name) << ": " << value;
     first = false;
   }
   os << '}';

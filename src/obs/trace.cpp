@@ -1,7 +1,8 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
 #include <ostream>
+
+#include "serve/json.hpp"
 
 namespace ownsim::obs {
 
@@ -64,7 +65,7 @@ void TraceWriter::set_process_name(int pid, const std::string& name) {
   e.phase = TraceEvent::Phase::kMetadata;
   e.name = "process_name";
   e.pid = pid;
-  e.args.emplace_back("name", '"' + json_escape(name) + '"');
+  e.args.emplace_back("name", serve::json_string(name));
   MutexLock lock(mu_);
   events_.push_back(std::move(e));
 }
@@ -75,7 +76,7 @@ void TraceWriter::set_thread_name(int pid, int tid, const std::string& name) {
   e.name = "thread_name";
   e.pid = pid;
   e.tid = tid;
-  e.args.emplace_back("name", '"' + json_escape(name) + '"');
+  e.args.emplace_back("name", serve::json_string(name));
   MutexLock lock(mu_);
   events_.push_back(std::move(e));
 }
@@ -88,8 +89,8 @@ void TraceWriter::write_json(std::ostream& os) const {
     os << (first ? "\n" : ",\n");
     first = false;
     os << "{\"ph\": \"" << static_cast<char>(e.phase) << '"';
-    if (!e.name.empty()) os << ", \"name\": \"" << json_escape(e.name) << '"';
-    if (!e.cat.empty()) os << ", \"cat\": \"" << json_escape(e.cat) << '"';
+    if (!e.name.empty()) os << ", \"name\": " << serve::json_string(e.name);
+    if (!e.cat.empty()) os << ", \"cat\": " << serve::json_string(e.cat);
     os << ", \"pid\": " << e.pid << ", \"tid\": " << e.tid
        << ", \"ts\": " << e.ts;
     if (e.phase == TraceEvent::Phase::kComplete) os << ", \"dur\": " << e.dur;
@@ -98,47 +99,14 @@ void TraceWriter::write_json(std::ostream& os) const {
     if (!e.args.empty()) {
       os << ", \"args\": {";
       for (std::size_t i = 0; i < e.args.size(); ++i) {
-        os << (i == 0 ? "" : ", ") << '"' << json_escape(e.args[i].first)
-           << "\": " << e.args[i].second;
+        os << (i == 0 ? "" : ", ") << serve::json_string(e.args[i].first)
+           << ": " << e.args[i].second;
       }
       os << '}';
     }
     os << '}';
   }
   os << "\n], \"displayTimeUnit\": \"ms\"}\n";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace ownsim::obs

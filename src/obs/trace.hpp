@@ -95,7 +95,4 @@ class TraceWriter {
   std::vector<TraceEvent> events_ OWNSIM_GUARDED_BY(mu_);
 };
 
-/// Escapes `\`, `"` and control characters for embedding in a JSON string.
-std::string json_escape(const std::string& s);
-
 }  // namespace ownsim::obs

@@ -324,6 +324,12 @@ void append_json_string(std::string& out, std::string_view text) {
   out.push_back('"');
 }
 
+std::string json_string(std::string_view text) {
+  std::string out;
+  append_json_string(out, text);
+  return out;
+}
+
 void Json::dump_to(std::string& out) const {
   if (is_null()) {
     out += "null";

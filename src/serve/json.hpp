@@ -82,4 +82,7 @@ class Json {
 /// Appends `text` JSON-escaped (quotes included) to `out`.
 void append_json_string(std::string& out, std::string_view text);
 
+/// `text` as a JSON string literal, escaped as by `append_json_string`.
+std::string json_string(std::string_view text);
+
 }  // namespace ownsim::serve

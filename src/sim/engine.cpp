@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "sim/parallel.hpp"
@@ -18,17 +17,16 @@ void Clocked::request_commit() {
   if (engine_ != nullptr) engine_->commit_request(this);
 }
 
-Engine::Engine() {
-  // OWNSIM_PDES=1 opts every engine in the process into the parallel kernel
-  // (Network installs a default partition plan when it sees the mode).
-  const char* pdes = std::getenv("OWNSIM_PDES");
-  if (pdes != nullptr && pdes[0] == '1') mode_ = KernelMode::kParallel;
-  // Escape hatch: OWNSIM_LOCKSTEP=1 reverts every engine in the process to
-  // the tick-everything kernel (differential debugging, A/B timing). Wins
-  // over OWNSIM_PDES when both are set.
-  const char* env = std::getenv("OWNSIM_LOCKSTEP");
-  if (env != nullptr && env[0] == '1') mode_ = KernelMode::kLockstep;
+const char* to_string(KernelMode mode) {
+  switch (mode) {
+    case KernelMode::kActivity: return "activity";
+    case KernelMode::kLockstep: return "lockstep";
+    case KernelMode::kParallel: return "parallel";
+  }
+  throw std::logic_error("bad KernelMode");
 }
+
+Engine::Engine() = default;
 
 void Engine::add(Clocked* component) {
   if (component == nullptr) throw std::invalid_argument("Engine::add: null");

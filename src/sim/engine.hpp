@@ -11,11 +11,11 @@
 //    to lockstep by the quiescence contract in sim/clocked.hpp.
 //  * kLockstep — the original tick-everything loop: eval all, commit all,
 //    now()+1. Escape hatch + differential-testing baseline; selected with
-//    OWNSIM_LOCKSTEP=1 or `set_mode`.
+//    `set_mode` (ExperimentConfig::kernel, key=value `kernel=lockstep`).
 //  * kParallel — activity semantics with the network partitioned across
 //    worker threads (sim/parallel.hpp, DESIGN.md §5i). Behaves exactly like
 //    kActivity until `configure_parallel` installs a partition plan;
-//    selected with OWNSIM_PDES=1 or `set_mode`. Bit-identical to both other
+//    selected with `set_mode` (`kernel=parallel`). Bit-identical to both other
 //    kernels for any partition count and thread count.
 #pragma once
 
@@ -36,6 +36,9 @@ enum class KernelMode {
   kParallel,  ///< activity semantics, partitions evaluated on worker threads
 };
 
+/// "activity" | "lockstep" | "parallel" (the key=value `kernel` names).
+const char* to_string(KernelMode mode);
+
 class ParallelRuntime;
 struct ParallelEvalCtx;
 struct ParallelLane;
@@ -43,8 +46,7 @@ struct ParallelPlan;
 
 class Engine {
  public:
-  /// Mode defaults to kActivity unless the environment overrides it:
-  /// OWNSIM_PDES=1 selects kParallel, OWNSIM_LOCKSTEP=1 wins over both.
+  /// Mode defaults to kActivity; `set_mode` selects another kernel.
   Engine();
   ~Engine();
 

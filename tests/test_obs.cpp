@@ -18,6 +18,7 @@
 #include "metrics/runner.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
+#include "serve/json.hpp"
 #include "topology/registry.hpp"
 #include "traffic/injector.hpp"
 
@@ -145,9 +146,21 @@ TEST(ObsRegistry, UnboundHandlesDropUpdates) {
 // ---- trace writer -----------------------------------------------------------
 
 TEST(ObsTrace, JsonEscapesControlCharacters) {
-  EXPECT_EQ(obs::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(obs::json_escape("tab\there"), "tab\\there");
-  EXPECT_EQ(obs::json_escape(std::string(1, '\x01')), "\\u0001");
+  obs::TraceWriter trace;
+  trace.instant("a\"b\\c", "tab\there", obs::TraceWriter::kPidRun, 0, 1,
+                {{std::string(1, '\x01'), "1"}});
+  trace.set_thread_name(obs::TraceWriter::kPidRun, 0, "q\"");
+  std::ostringstream os;
+  trace.write_json(os);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"a\\\"b\\\\c\""), std::string::npos);
+  EXPECT_NE(json.find("\"tab\\there\""), std::string::npos);
+  EXPECT_NE(json.find("\"\\u0001\""), std::string::npos);
+  const serve::Json parsed = serve::Json::parse(json);
+  const serve::Json::Array& events = parsed.find("traceEvents")->as_array();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].find("name")->as_string(), "a\"b\\c");
+  EXPECT_EQ(events[1].find("args")->find("name")->as_string(), "q\"");
 }
 
 TEST(ObsTrace, EmitsBalancedSlices) {

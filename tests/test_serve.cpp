@@ -214,6 +214,96 @@ TEST(ParseExperimentConfig, ValidatesInput) {
   EXPECT_EQ(config.fault.events[0].recovery, kNeverCycle);
 }
 
+TEST(ParseExperimentConfig, RejectsUnknownKeys) {
+  try {
+    parse_experiment_config(
+        Config::from_string("topology=own adapt_refesh=200"));
+    FAIL() << "a misspelt key must not run with the default";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("adapt_refesh"), std::string::npos)
+        << e.what();
+  }
+  // A caller's own vocabulary passes through only when it declares it.
+  const Config cli = Config::from_string("rate=0.002 report=json");
+  EXPECT_THROW(parse_experiment_config(cli), std::invalid_argument);
+  EXPECT_EQ(parse_experiment_config(cli, {"report"}).rate, 0.002);
+}
+
+TEST(ParseExperimentConfig, AcceptsBenchmarkAndServeVocabulary) {
+  for (const char* text : {
+           // benchmark/harness.cpp workloads and their kernel A/B reruns.
+           "topology=own cores=1024 config=4 scenario=ideal pattern=UN "
+           "rate=0.004 seed=1 warmup=1500 measure=4000 drain=30000 "
+           "kernel=parallel threads=4",
+           "topology=own cores=256 pattern=UN rate=0.003 fault=1 "
+           "fault_margin_db=-8 fault_flaps=32 watchdog=20000 adapt=1 seed=1 "
+           "adapt_seed=1 warmup=2000 measure=300000 fault_horizon=300000 "
+           "fault_kill=0:2@50000 fault_token_loss=3@150000:64 "
+           "kernel=lockstep",
+           "topology=own cores=1024",
+           // The CI serve smoke's sweep.conf.
+           "topology=own cores=256 pattern=UN rate=0.004 warmup=200 "
+           "measure=600 seed=9 kernel=activity",
+           "topology=cmesh cores=256 rate=0.002 warmup=200 measure=600 seed=3",
+       }) {
+    EXPECT_NO_THROW(parse_experiment_config(Config::from_string(text)))
+        << text;
+  }
+}
+
+// Every key=value key set to a non-default value. The canonical-config
+// digests below were recorded before one field table replaced the three
+// hand-kept field lists; they pin every existing cache key.
+constexpr char kEveryKey[] =
+    "topology=cmesh cores=64 pattern=BR rate=0.006 config=2 "
+    "scenario=conservative warmup=700 measure=1700 drain=9000 packet_flits=3 "
+    "seed=11 concentration=2 vcs=6 buffer_depth=5 clock_ghz=2.5 "
+    "ideal_arbitration=1 o1turn=1 flit_bits=64 kernel=lockstep threads=2 "
+    "partitions=3 fault=1 fault_seed=13 fault_ber=1e-9 fault_margin_db=-3 "
+    "fault_flaps=3 fault_flap_down=150 fault_horizon=5000 "
+    "fault_kill=1:5@700 fault_token_loss=2@900:never watchdog=5000 adapt=1 "
+    "adapt_react=0 adapt_refresh=300 adapt_seed=5 adapt_sigma_db=0.7 "
+    "adapt_ring_sigma_c=1.5 adapt_snr_required_db=16 adapt_margin_db=3 "
+    "adapt_temp_coeff=0.1 adapt_alpha=0.8 adapt_iterations=200 "
+    "adapt_backoff_enter=1.5 adapt_backoff_exit=2.5 adapt_backoff_gain=2 "
+    "adapt_max_backoff=3 adapt_sustain=4 adapt_realloc_enter=0.5 "
+    "adapt_realloc_exit=1.5 adapt_trim_uw=40";
+
+std::string canonical_digest(const std::string& text) {
+  return sha256_hex(canonical_config_json(
+      parse_experiment_config(Config::from_string(text))));
+}
+
+TEST(CanonicalConfig, DigestsPinned) {
+  EXPECT_EQ(canonical_digest(""),
+            "b7ca16e51828126f4e06f9965b8df9e0299464f056bd2b5663bc8a531f514339");
+  EXPECT_EQ(canonical_digest(kEveryKey),
+            "40aaf58976ae9b403e55aeb2d781be5aa0421469dc52fecaf6098d73e22a243e");
+  EXPECT_EQ(canonical_digest("topology=file:" + std::string(OWNSIM_SOURCE_DIR) +
+                             "/configs/topologies/own256.topo.json"),
+            "d87174e9c58e7630102b7fb90312f19c20edfd1d1104c026549a645a99eea3f2");
+}
+
+TEST(CanonicalConfig, EveryKeyReachesTheCacheKeyAndRoundTrips) {
+  const Config every = Config::from_string(kEveryKey);
+  EXPECT_EQ(every.keys(), experiment_config_keys());
+  const std::string default_key =
+      experiment_cache_key(parse_experiment_config(Config{}));
+  for (const std::string& key : every.keys()) {
+    Config one;
+    one.set(key, every.require_string(key));
+    const ExperimentConfig config = parse_experiment_config(one);
+    const std::string json = canonical_config_json(config);
+    EXPECT_EQ(canonical_config_json(experiment_config_from_canonical_json(json)),
+              json)
+        << key;
+    // The kernel knobs are result-neutral (§5e/§5i): one cache entry.
+    const bool neutral =
+        key == "kernel" || key == "threads" || key == "partitions";
+    EXPECT_EQ(experiment_cache_key(config) == default_key, neutral) << key;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ResultStore
 
@@ -713,6 +803,13 @@ TEST(ServeDaemon, EndToEndSubmitCacheAndShutdown) {
     EXPECT_EQ(client.read_event().find("event")->as_string(), "error");
     client.send_line("not json at all");
     EXPECT_EQ(client.read_event().find("event")->as_string(), "error");
+    // So does a misspelt config key, instead of a cached default run.
+    client.send_line(
+        "{\"verb\":\"submit\",\"config\":{\"adapt_refesh\":200}}");
+    const Json typo = client.read_event();
+    EXPECT_EQ(typo.find("event")->as_string(), "error");
+    EXPECT_NE(typo.find("error")->as_string().find("adapt_refesh"),
+              std::string::npos);
   }
   {
     // Second submission on a fresh connection: served from the cache,

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "driver/experiment_config.hpp"
 #include "driver/simulate.hpp"
+#include "metrics/report.hpp"
+#include "serve/json.hpp"
 #include "topofile/routegen.hpp"
 #include "topofile/topofile.hpp"
 #include "topology/registry.hpp"
@@ -436,6 +439,45 @@ TEST(TopofileCacheKey, CanonicalJsonRoundTripsViaSha) {
   EXPECT_FALSE(reloaded.topofile_sha256.empty());
   EXPECT_EQ(canonical_config_json(reloaded), canonical);
   EXPECT_EQ(experiment_cache_key(reloaded), experiment_cache_key(config));
+}
+
+TEST(TopofileReports, OddLinkNamesStayValidJson) {
+  // A link named `ring"0\x` must come out escaped from both report=json
+  // (the channel list) and counters=1 (the registry's "link.<name>.flits").
+  std::string text = topofile::read_topofile(
+      std::string(OWNSIM_SOURCE_DIR) + "/configs/topologies/ring8.topo.json");
+  const std::string plain = "\"name\": \"ring0\"";
+  ASSERT_NE(text.find(plain), std::string::npos);
+  text.replace(text.find(plain), plain.size(), "\"name\": \"ring\\\"0\\\\x\"");
+  const std::string odd = "ring\"0\\x";
+
+  ExperimentConfig config;
+  config.topology = TopologyKind::kFile;
+  config.options.num_cores = 8;
+  config.options.topofile_text = text;
+  config.rate = 0.01;
+  config.phases = RunPhases{100, 300, 2000};
+  std::ostringstream report;
+  std::ostringstream counters;
+  RunHooks hooks;
+  hooks.after_run = [&](Network& network, const ExperimentResult&) {
+    NetworkReport(network).write_json(report);
+    network.obs().write_json(counters);
+  };
+  run_experiment(config, hooks);
+
+  const serve::Json parsed_report = serve::Json::parse(report.str());
+  bool found = false;
+  for (const serve::Json& channel :
+       parsed_report.find("channels")->as_array()) {
+    found = found || channel.find("name")->as_string() == odd;
+  }
+  EXPECT_TRUE(found) << report.str();
+  const serve::Json parsed_counters = serve::Json::parse(counters.str());
+#if OWNSIM_OBS_ENABLED
+  EXPECT_NE(parsed_counters.find("link." + odd + ".flits"), nullptr)
+      << counters.str();
+#endif
 }
 
 }  // namespace
