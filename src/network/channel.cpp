@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "fault/protocol.hpp"
+#include "network/router.hpp"
 #include "obs/trace.hpp"
 
 namespace ownsim {
@@ -54,7 +55,17 @@ VcId Channel::Sender::alloc_vc(int vc_class, Cycle /*now*/) {
 bool Channel::Sender::can_accept(const Flit& flit, Cycle now) const {
   const auto& ch = *channel;
   assert(flit.vc >= 0 && flit.vc < ch.num_vcs());
-  return now >= ch.next_free_ && ch.credits_[flit.vc] > 0;
+  if (ch.credits_[flit.vc] == 0) return false;  // the credit wakes the source
+  if (now >= ch.next_free_) return true;
+  // Refused for the serialization slot alone (a multi-cycle flit or an
+  // outage). The slot frees without any event, so the source is woken when
+  // it does — once per slot. The source still holds the refused flit then,
+  // so the wake never lands on a cycle lockstep would idle through.
+  if (ch.source_ != nullptr && ch.slot_wake_ != ch.next_free_) {
+    ch.slot_wake_ = ch.next_free_;
+    ch.source_->request_wake(ch.next_free_);
+  }
+  return false;
 }
 
 void Channel::Sender::accept(const Flit& flit, Cycle now) {
@@ -140,7 +151,8 @@ void Channel::apply_fault_on_accept(Timed& timed) {
 
 void Channel::set_outage(Cycle until, Cycle now) {
   if (until <= now) return;
-  // Sender side: nothing launches before the channel comes back up.
+  // Sender side: nothing launches before the channel comes back up (a
+  // source refused meanwhile is woken at `until`, see can_accept).
   next_free_ = std::max(next_free_, until);
   // Copies in flight are lost to the outage and retransmitted once the
   // channel restores: first re-arrival a full pipe latency after `until`,
@@ -255,9 +267,18 @@ void Channel::Receiver::push_credit(VcId vc, Cycle now) {
 void Channel::eval(Cycle now) {
   // Apply credits that have completed their reverse-pipe trip. Doing this in
   // eval (against last cycle's commits) keeps results order-independent.
+  bool credited = false;
   while (!credit_pipe_.empty() && credit_pipe_.front().arrival <= now) {
     ++credits_[credit_pipe_.front().vc];
     credit_pipe_.pop_front();
+    credited = true;
+  }
+  // A stalled source sleeps until a credit can change its switch
+  // allocation. Routers evaluate before channels (registration order), so
+  // its eval at `now` has already run without this credit: the first eval
+  // that can see it is now+1, exactly when lockstep's would.
+  if (credited && source_ != nullptr && source_->stalled()) {
+    source_->request_wake(now + 1);
   }
   if (fault_ != nullptr) {
     // Receiver-side CRC check, one cycle before each corrupt copy would

@@ -39,6 +39,8 @@ namespace fault {
 struct Protocol;
 }
 
+class Router;
+
 /// Maps a deadlock class to a contiguous range of VC ids.
 struct VcClassRange {
   VcId first = 0;
@@ -85,6 +87,13 @@ class Channel final : public Clocked {
   /// NIC polling `in()`). Wired once by the Network assembler; optional —
   /// unwired channels (unit tests) simply post no wakes.
   void set_sink(Clocked* sink) { sink_ = sink; }
+
+  /// Router driving `out()`, woken when this channel unblocks it: after a
+  /// credit lands while it is stalled, and when the serialization slot (or
+  /// outage) that refused its flit ends. Wired once by the Network
+  /// assembler; optional (the NIC's injection channels have none — the NIC
+  /// stays active while it queues).
+  void set_source(Router* source) { source_ = source; }
 
   MediumType medium() const { return medium_; }
   int latency() const { return latency_; }
@@ -197,6 +206,9 @@ class Channel final : public Clocked {
   std::vector<bool> vc_busy_;
   std::vector<int> rr_next_;  // per-class round-robin VC pointer
   Cycle next_free_ = 0;
+  /// Slot end the source was last woken for (see Sender::can_accept).
+  /// Mutable: the refusal is a const query that posts the wake.
+  mutable Cycle slot_wake_ = -1;
 
   // Pipes. `staged_*` filled during eval, merged in commit.
   std::deque<Timed> flit_pipe_;
@@ -204,7 +216,8 @@ class Channel final : public Clocked {
   std::deque<TimedCredit> credit_pipe_;
   std::vector<TimedCredit> staged_credits_;
 
-  Clocked* sink_ = nullptr;  ///< woken at forward-pipe arrivals
+  Clocked* sink_ = nullptr;   ///< woken at forward-pipe arrivals
+  Router* source_ = nullptr;  ///< woken when the sender side unblocks
 
   LinkCounters counters_;
   obs::Counter obs_flits_;

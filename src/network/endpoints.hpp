@@ -44,7 +44,10 @@ class OutputEndpoint {
   virtual VcId alloc_vc(int vc_class, Cycle now) = 0;
 
   /// True if `flit` (already VC-allocated) can be accepted this cycle:
-  /// serialization slot free and a buffer credit available.
+  /// serialization slot free and a buffer credit available. A refusal may
+  /// schedule a wake for the caller at the cycle the refusal lifts (the
+  /// sender-side wakes of DESIGN.md §5e); the answer itself has no side
+  /// effects.
   virtual bool can_accept(const Flit& flit, Cycle now) const = 0;
 
   /// Hands the flit to the link/medium. Caller must have checked can_accept.

@@ -64,6 +64,7 @@ Network::Network(NetworkSpec spec) : spec_(std::move(spec)) {
     routers_[link.src_router]->connect_output(link.src_port, channel->out());
     routers_[link.dst_router]->connect_input(link.dst_port, channel->in());
     channel->set_sink(routers_[link.dst_router].get());
+    channel->set_source(routers_[link.src_router].get());
     channels_.push_back(std::move(channel));
   }
 
@@ -88,6 +89,7 @@ Network::Network(NetworkSpec spec) : spec_(std::move(spec)) {
     for (std::size_t w = 0; w < ms.writers.size(); ++w) {
       const auto& [r, p] = ms.writers[w];
       routers_[r]->connect_output(p, medium->writer(static_cast<int>(w)));
+      medium->set_writer_source(static_cast<int>(w), routers_[r].get());
     }
     for (std::size_t rd = 0; rd < ms.readers.size(); ++rd) {
       const auto& [r, p] = ms.readers[rd];
@@ -118,12 +120,16 @@ Network::Network(NetworkSpec spec) : spec_(std::move(spec)) {
         Length{}, &spec_.vc_classes, "ej" + std::to_string(n));
     routers_[r]->connect_output(out_port, eject->out());
     eject->set_sink(nic_.get());
+    eject->set_source(routers_[r].get());
     nic_->connect(n, inject->out(), eject->in());
     node_channels_.push_back(std::move(inject));
     node_channels_.push_back(std::move(eject));
   }
 
   // Registration order is fixed (determinism): NIC, routers, media, channels.
+  // Routers before media and channels is also what makes the sender-side
+  // wakes exact: a credit or staging pop a pipe applies at cycle t is first
+  // visible to its source router's eval at t+1 (DESIGN.md §5e).
   engine_.add(nic_.get());
   for (auto& r : routers_) engine_.add(r.get());
   for (auto& m : media_) engine_.add(m.get());

@@ -70,11 +70,13 @@ void Router::eval(Cycle now) {
   // Order implements pipelining: SA consumes last cycle's VCA grants, VCA
   // consumes last cycle's RC results, and so on. Intake runs first so an
   // arriving head is detected the same cycle and enters RC the next.
+  progressed_ = false;
   stage_intake(now);
   stage_switch(now);
   stage_vca(now);
   stage_rc(now);
   stage_detect(now);
+  stalled_ = scheduled() && occupancy_ > 0 && !progressed_;
 }
 
 void Router::stage_intake(Cycle now) {
@@ -86,6 +88,7 @@ void Router::stage_intake(Cycle now) {
     assert(!vc.buffer.full() && "credit protocol violated");
     vc.buffer.push(*flit);
     port.endpoint->pop(now);
+    progressed_ = true;
     ++occupancy_;
     ++counters_.buffer_writes;
     obs_buffer_highwater_.observe_max(occupancy_);
@@ -141,6 +144,7 @@ void Router::stage_switch(Cycle now) {
     auto& vc = port.vcs[static_cast<std::size_t>(v)];
 
     Flit flit = vc.buffer.pop();
+    progressed_ = true;
     --occupancy_;
     const VcId arrived_vc = flit.vc;  // VC on the upstream link (for credit)
     flit.vc = vc.out_vc;
@@ -187,6 +191,7 @@ void Router::stage_vca(Cycle now) {
     if (granted != kInvalidId) {
       vc.out_vc = granted;
       vc.state = VcState::kActive;
+      progressed_ = true;
       ++counters_.vc_allocations;
     }
   }
@@ -205,6 +210,7 @@ void Router::stage_rc(Cycle now) {
              vc.route.out_port < static_cast<PortId>(outputs_.size()));
       head.vc_class = vc.route.vc_class;
       vc.state = VcState::kVca;
+      progressed_ = true;
       ++counters_.route_computations;
     }
   }
@@ -240,6 +246,7 @@ void Router::stage_detect(Cycle now) {
       if (vc.state == VcState::kIdle && !vc.buffer.empty()) {
         assert(vc.buffer.front().head && "body flit at idle VC head");
         vc.state = VcState::kRouting;
+        progressed_ = true;
       }
     }
   }

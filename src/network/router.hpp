@@ -75,13 +75,25 @@ class Router final : public Clocked {
   void eval(Cycle now) override;
   void commit(Cycle /*now*/) override {}
 
-  /// Dormant when no flit is buffered: every pipeline stage needs a buffered
-  /// flit to do anything (ROUTING/VCA imply a buffered head; ACTIVE with an
-  /// empty buffer just waits for upstream). Arrivals re-activate the router
-  /// via the source channel/medium's sink wake. The only per-cycle state a
-  /// dormant router would have touched — the VCA rotation pointer — is
-  /// reconstructed in closed form at the next eval (see stage_vca).
-  bool is_idle() const override { return occupancy_ == 0; }
+  /// Dormant when no flit is buffered, or when the last eval was stalled.
+  /// Empty: every pipeline stage needs a buffered flit to do anything
+  /// (ROUTING/VCA imply a buffered head; ACTIVE with an empty buffer just
+  /// waits for upstream). Stalled: every buffered flit waits on downstream
+  /// state (a credit, a serialization slot, a medium writer lane) that only
+  /// the owning channel/medium can change, and it wakes this router the
+  /// cycle after it does (DESIGN.md §5e, sender-side wakes). Arrivals
+  /// re-activate the router via the source channel/medium's sink wake. The
+  /// only per-cycle state a dormant router would have touched — the VCA
+  /// rotation pointer — is reconstructed in closed form at the next eval
+  /// (see stage_vca).
+  bool is_idle() const override { return occupancy_ == 0 || stalled_; }
+
+  /// True when the last scheduled eval left flits buffered but changed no
+  /// state: no intake, no RC, VCA or SA grant, no IDLE->ROUTING transition.
+  /// Such an eval is a pure function of downstream endpoint state, so it
+  /// repeats identically until a sender-side wake. Always false for routers
+  /// not registered with an engine (manually driven unit tests).
+  bool stalled() const { return stalled_; }
 
   RouterId id() const { return params_.id; }
   int num_inputs() const { return params_.num_inputs; }
@@ -134,6 +146,8 @@ class Router final : public Clocked {
   std::vector<OutputPort> outputs_;
   int vca_rr_ = 0;  ///< round-robin start for VCA request order
   int occupancy_ = 0;
+  bool progressed_ = false;  ///< some stage changed state this eval
+  bool stalled_ = false;     ///< see stalled()
   Cycle last_eval_ = -1;  ///< for vca_rr_ catch-up across skipped cycles
   RouterCounters counters_;
   obs::Counter obs_flits_forwarded_;

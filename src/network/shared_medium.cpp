@@ -6,6 +6,7 @@
 #include <string>
 
 #include "fault/protocol.hpp"
+#include "network/router.hpp"
 #include "obs/trace.hpp"
 
 namespace ownsim {
@@ -269,6 +270,11 @@ void SharedMedium::eval(Cycle now) {
       Flit flit = lane.staging.pop();
       --lane.staged_count;
       if (lane.staging.empty()) --nonempty_stagings_;
+      // The freed slot may admit the writer's next flit (or, once the lane
+      // drains, its next head). Same t+1 argument as a channel credit.
+      if (writer.source != nullptr && writer.source->stalled()) {
+        writer.source->request_wake(now + 1);
+      }
       flit.vc = active_vc_;
       // Fault model: the copy may corrupt in transit; the writer retries
       // while holding the token (bus occupied through the NACK round trips),

@@ -44,6 +44,8 @@ namespace obs {
 class TraceWriter;
 }
 
+class Router;
+
 /// Counters specific to shared media (token behavior, multicast RX cost).
 struct MediumCounters {
   std::int64_t packets = 0;
@@ -114,6 +116,13 @@ class SharedMedium final : public Clocked {
     readers_.at(static_cast<std::size_t>(index)).sink = sink;
   }
 
+  /// Router driving writer `index`, woken (when stalled) the cycle after the
+  /// medium pops that writer's staging — the only event that can re-open a
+  /// lane to its next flit. Wired once by the Network assembler.
+  void set_writer_source(int index, Router* source) {
+    writers_.at(static_cast<std::size_t>(index)).source = source;
+  }
+
   const MediumCounters& counters() const { return counters_; }
   const Params& params() const { return params_; }
   int token_position() const { return token_; }
@@ -176,6 +185,7 @@ class SharedMedium final : public Clocked {
 
     SharedMedium* medium = nullptr;
     int index = 0;
+    Router* source = nullptr;  ///< woken when a staging pop unblocks it
     std::vector<ClassStaging> per_class;
     int rr_class = 0;  ///< round-robin among classes with pending heads
   };

@@ -20,6 +20,11 @@
 //     must be latched this cycle (the engine commits it even if dormant).
 // Any per-cycle state a dormant component would have mutated anyway (e.g. a
 // free-running token) must be reconstructed in closed form on the next eval.
+// A component may also go dormant while it still holds work, if every eval
+// until some peer's state changes would be a no-op (a router blocked on a
+// downstream credit): the peer that owns that state must then wake it the
+// cycle the change first becomes visible — a "sender-side wake", exact at
+// now+1 when the peer is registered (evaluated) after it (DESIGN.md §5e).
 // The default `is_idle()` returns false: unaware components simply stay in
 // the active set every cycle, which is always correct (lockstep behaviour).
 #pragma once

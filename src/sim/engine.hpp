@@ -146,6 +146,10 @@ class Engine {
   bool parallel_globally_idle() const;
   void parallel_skip(Cycle deadline);
   void parallel_worker(ParallelRuntime* rt, int slot);
+  using LanePhase = void (Engine::*)(ParallelRuntime&, int, Cycle);
+  /// Runs `phase` over worker `slot`'s lanes; the first exception parks the
+  /// slot (recorded in the runtime, rethrown by the coordinator).
+  void run_slot(ParallelRuntime& rt, int slot, LanePhase phase, Cycle now);
   void activate_lane(ParallelRuntime& rt, ParallelLane& lane, Cycle now);
   void run_lane_front(ParallelRuntime& rt, int lane_index, Cycle now);
   void run_lane_wave2(ParallelRuntime& rt, int lane_index, Cycle now);

@@ -4,9 +4,10 @@
 // conservative lookahead bound). Each cycle runs as:
 //
 //   barrier A   coordinator published {kStep, now}
-//     workers:  per lane — activate due wakeups, eval wave-1 actives
+//     slots:    per lane — activate due wakeups, eval wave-1 actives
 //   barrier B
-//     workers:  per lane — eval wave-2 actives
+//     slots:    per lane — eval wave-2 actives (may read a wave-1 router's
+//               stalled() flag: its only writer finished before B)
 //   barrier C
 //     coordinator: activate + eval the serial lane (id order), exclusive —
 //     the driver extras may mutate any component (fault injection, route
@@ -17,6 +18,10 @@
 //     requests raised for this lane during the waves), commit actives and
 //     extras, retire idle components, promote non-idle extras.
 //   barrier E   coordinator advances now_.
+//
+// The coordinator is worker slot 0 — it evaluates that slot's lanes in
+// every parallel phase — and the pool runs slots 1..threads-1, so the
+// barrier has `threads` parties and no thread idles through a wave.
 //
 // Determinism: within a lane everything runs in ascending id order; across
 // lanes the only shared state is (a) the flag bytes of per-lane component
@@ -74,16 +79,18 @@ ParallelRuntime::ParallelRuntime(Engine* engine, ParallelPlan plan,
       plan_(std::move(plan)),
       lanes_(static_cast<std::size_t>(plan_.num_partitions) + 1),
       worker_errors_(clamp_workers(threads, plan_.num_partitions)),
-      barrier_(static_cast<int>(worker_errors_.size()) + 1),
-      pool_(static_cast<unsigned>(worker_errors_.size())) {
+      barrier_(static_cast<int>(worker_errors_.size())) {
   for (ParallelLane& lane : lanes_) {
     lane.wake_out.resize(lanes_.size());
     lane.commit_out.resize(lanes_.size());
   }
+  // Slot 0 is the coordinator itself; the pool runs slots 1..threads-1.
+  const int slots = static_cast<int>(worker_errors_.size());
+  if (slots > 1) pool_.emplace(static_cast<unsigned>(slots - 1));
   workers_.reserve(worker_errors_.size());
-  for (int slot = 0; slot < static_cast<int>(worker_errors_.size()); ++slot) {
+  for (int slot = 1; slot < slots; ++slot) {
     workers_.push_back(
-        pool_.submit([this, slot] { engine_->parallel_worker(this, slot); }));
+        pool_->submit([this, slot] { engine_->parallel_worker(this, slot); }));
   }
 }
 
@@ -360,8 +367,23 @@ void Engine::finish_lane(ParallelRuntime& rt, int lane_index, Cycle now) {
   detail::tl_parallel_ctx = nullptr;
 }
 
+void Engine::run_slot(ParallelRuntime& rt, int slot, LanePhase phase,
+                      Cycle now) {
+  std::exception_ptr& error =
+      rt.worker_errors_[static_cast<std::size_t>(slot)];
+  if (error != nullptr) return;
+  try {
+    const int slots = static_cast<int>(rt.worker_errors_.size());
+    for (int lane = slot; lane < rt.num_partitions(); lane += slots) {
+      (this->*phase)(rt, lane, now);
+    }
+  } catch (...) {
+    error = std::current_exception();
+    rt.failed_.store(true, std::memory_order_relaxed);
+  }
+}
+
 void Engine::parallel_worker(ParallelRuntime* rt, int slot) {
-  const int workers = static_cast<int>(rt->worker_errors_.size());
   for (;;) {
     rt->barrier_.arrive_and_wait();  // A: command published
     if (rt->command_.load(std::memory_order_relaxed) ==
@@ -370,42 +392,12 @@ void Engine::parallel_worker(ParallelRuntime* rt, int slot) {
       return;
     }
     const Cycle now = rt->step_now_.load(std::memory_order_relaxed);
-    const int partitions = rt->num_partitions();
-    std::exception_ptr& error = rt->worker_errors_[static_cast<std::size_t>(
-        slot)];
-    if (error == nullptr) {
-      try {
-        for (int lane = slot; lane < partitions; lane += workers) {
-          run_lane_front(*rt, lane, now);
-        }
-      } catch (...) {
-        error = std::current_exception();
-        rt->failed_.store(true, std::memory_order_relaxed);
-      }
-    }
+    run_slot(*rt, slot, &Engine::run_lane_front, now);
     rt->barrier_.arrive_and_wait();  // B
-    if (error == nullptr) {
-      try {
-        for (int lane = slot; lane < partitions; lane += workers) {
-          run_lane_wave2(*rt, lane, now);
-        }
-      } catch (...) {
-        error = std::current_exception();
-        rt->failed_.store(true, std::memory_order_relaxed);
-      }
-    }
+    run_slot(*rt, slot, &Engine::run_lane_wave2, now);
     rt->barrier_.arrive_and_wait();  // C (serial phase runs on coordinator)
     rt->barrier_.arrive_and_wait();  // D
-    if (error == nullptr) {
-      try {
-        for (int lane = slot; lane < partitions; lane += workers) {
-          finish_lane(*rt, lane, now);
-        }
-      } catch (...) {
-        error = std::current_exception();
-        rt->failed_.store(true, std::memory_order_relaxed);
-      }
-    }
+    run_slot(*rt, slot, &Engine::finish_lane, now);
     rt->barrier_.arrive_and_wait();  // E: cycle complete
   }
 }
@@ -416,8 +408,12 @@ void Engine::parallel_step() {
                     std::memory_order_relaxed);
   rt.step_now_.store(now_, std::memory_order_relaxed);
   stepping_ = true;
-  rt.barrier_.arrive_and_wait();  // A — workers: activate + wave 1
-  rt.barrier_.arrive_and_wait();  // B — workers: wave 2
+  // The coordinator is worker slot 0: it evaluates that slot's lanes in
+  // every parallel phase instead of idling at the barriers.
+  rt.barrier_.arrive_and_wait();  // A — everyone: activate + wave 1
+  run_slot(rt, 0, &Engine::run_lane_front, now_);
+  rt.barrier_.arrive_and_wait();  // B — everyone: wave 2
+  run_slot(rt, 0, &Engine::run_lane_wave2, now_);
   rt.barrier_.arrive_and_wait();  // C — serial window is now exclusive
   if (rt.coordinator_error_ == nullptr) {
     try {
@@ -428,6 +424,7 @@ void Engine::parallel_step() {
     }
   }
   rt.barrier_.arrive_and_wait();  // D — everyone: merge + commit + retire
+  run_slot(rt, 0, &Engine::finish_lane, now_);
   if (rt.coordinator_error_ == nullptr) {
     try {
       finish_lane(rt, rt.serial_lane(), now_);

@@ -29,6 +29,7 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <optional>
 #include <queue>
 #include <thread>
 #include <utility>
@@ -142,6 +143,7 @@ extern thread_local ParallelEvalCtx* tl_parallel_ctx;
 /// Worker-thread substrate for one configured engine: the lanes, the phase
 /// barrier and a dedicated thread pool whose workers live for the runtime's
 /// lifetime (commands arrive through the barrier; `kExit` from the dtor).
+/// With `threads` slots the coordinator runs slot 0 and the pool the rest.
 /// The pool is private to the engine so a parallel run never deadlocks
 /// against sweep-level pools using the same `exec::ThreadPool` class.
 class ParallelRuntime {
@@ -155,7 +157,10 @@ class ParallelRuntime {
   int num_partitions() const { return plan_.num_partitions; }
   int serial_lane() const { return plan_.num_partitions; }
   int num_lanes() const { return plan_.num_partitions + 1; }
-  unsigned threads() const { return pool_.size(); }
+  /// Worker slots, the coordinator (slot 0) included.
+  unsigned threads() const {
+    return static_cast<unsigned>(worker_errors_.size());
+  }
 
   int lane_of(int id) const {
     const auto index = static_cast<std::size_t>(id);
@@ -182,9 +187,11 @@ class ParallelRuntime {
   std::atomic<Command> command_{Command::kStep};
   std::atomic<Cycle> step_now_{0};
   std::atomic<bool> failed_{false};
-  PhaseBarrier barrier_;  ///< parties: workers + coordinator
-  std::vector<std::future<void>> workers_;
-  exec::ThreadPool pool_;  ///< last member: destroyed (joined) first
+  PhaseBarrier barrier_;  ///< parties: every slot, the coordinator included
+  std::vector<std::future<void>> workers_;  ///< slots 1..threads-1
+  /// Runs slots 1..threads-1; absent with one slot. Last member: destroyed
+  /// (joined) first.
+  std::optional<exec::ThreadPool> pool_;
 };
 
 }  // namespace ownsim

@@ -42,18 +42,28 @@ void Injector::advance(NodeLookahead& node, Rng& rng, double p) {
 void Injector::eval(Cycle now) {
   if (!enabled_) return;
   const double p = params_.rate / params_.packet_flits;
-  const int num_nodes = network_->spec().num_nodes;
   const bool measured = now >= measure_begin_ && now < measure_end_;
   const bool multipath = network_->spec().has_alt_routing();
   if (!armed_) {
     armed_ = true;
-    for (auto& node : lookahead_) {
+    const NodeId num_nodes = network_->spec().num_nodes;
+    for (NodeId src = 0; src < num_nodes; ++src) {
+      auto& node = lookahead_[static_cast<std::size_t>(src)];
       node.next_fire = kNeverCycle;
       node.drawn_until = now;
+      due_.push({now, src});
     }
   }
-  Cycle next_event = kNeverCycle;
-  for (NodeId src = 0; src < num_nodes; ++src) {
+  // Only nodes whose next event is due can do anything this cycle; run them
+  // in node order, as a scan over every node would (NIC enqueue order, hence
+  // packet ids, follow it).
+  batch_.clear();
+  while (!due_.empty() && due_.top().first <= now) {
+    batch_.push_back(due_.top().second);
+    due_.pop();
+  }
+  std::sort(batch_.begin(), batch_.end());
+  for (const NodeId src : batch_) {
     auto& node = lookahead_[static_cast<std::size_t>(src)];
     Rng& rng = rngs_[static_cast<std::size_t>(src)];
     if (node.next_fire != kNeverCycle && node.next_fire < now) {
@@ -84,11 +94,11 @@ void Injector::eval(Cycle now) {
       node.drawn_until = now + 1;
       advance(node, rng, p);
     }
-    next_event = std::min(next_event, node.next_fire != kNeverCycle
-                                          ? node.next_fire
-                                          : node.drawn_until);
+    due_.push({node.next_fire != kNeverCycle ? node.next_fire
+                                              : node.drawn_until,
+               src});
   }
-  if (next_event != kNeverCycle) request_wake(next_event);
+  if (!due_.empty()) request_wake(due_.top().first);
 }
 
 }  // namespace ownsim

@@ -13,7 +13,9 @@
 // are independent and nothing else reads them), so results — including RNG-
 // sensitive destinations and alt-route coins — are bit-identical to the
 // lockstep loop. Between fires the injector sleeps; a wakeup is posted for
-// the earliest next event across nodes. Pre-drawing is capped at
+// the earliest next event across nodes, kept in a min-heap so an eval costs
+// O(due nodes x log nodes) rather than a scan of every node. Due nodes run
+// in node-id order, as the scan did. Pre-drawing is capped at
 // `kLookaheadCycles` per batch so a (near-)zero rate cannot spin forever;
 // exhausted batches resume at the next wakeup. Re-enabling after
 // `set_enabled(false)` restarts each node's Bernoulli process at the current
@@ -26,7 +28,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -73,9 +79,10 @@ class Injector final : public Clocked {
   void eval(Cycle now) override;
   void commit(Cycle /*now*/) override {}
 
-  /// Always dormant between events: every eval (re)posts a wakeup for the
-  /// earliest pre-drawn fire (or batch continuation) across nodes, and
-  /// `set_enabled(true)` posts one after a pause.
+  /// Always dormant between events: every enabled eval (re)posts a wakeup
+  /// for the earliest pre-drawn fire (or batch continuation) across nodes —
+  /// the top of the next-event heap — and `set_enabled(true)` posts one
+  /// after a pause. A disabled eval posts nothing and touches no node.
   bool is_idle() const override { return true; }
 
   std::int64_t packets_offered() const { return packets_offered_; }
@@ -102,6 +109,12 @@ class Injector final : public Clocked {
   Params params_;
   std::vector<Rng> rngs_;  ///< one decorrelated stream per node
   std::vector<NodeLookahead> lookahead_;
+  /// (next event, node) per node once armed: next_fire, or drawn_until when
+  /// no fire is pending. Exactly one entry per node.
+  using DueEntry = std::pair<Cycle, NodeId>;
+  std::priority_queue<DueEntry, std::vector<DueEntry>, std::greater<DueEntry>>
+      due_;
+  std::vector<NodeId> batch_;  ///< scratch: nodes due this eval
   bool armed_ = false;  ///< lookahead initialized at the first enabled eval
   Cycle measure_begin_ = kNeverCycle;
   Cycle measure_end_ = kNeverCycle;

@@ -3,7 +3,11 @@
 // head-of-line behavior.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "helpers.hpp"
 #include "network/network.hpp"
@@ -183,6 +187,195 @@ TEST(ChannelEdge, CreditReturnsAfterOneCycle) {
   channel.commit(1);
   channel.eval(2);  // credit arrival at now=2
   EXPECT_EQ(channel.credits(flit.vc), 3);
+}
+
+// ---------------------------------------------------------------------------
+// Sender-side wakes (DESIGN.md §5e). A router whose eval changes nothing
+// sleeps while it still holds flits; the channel or medium that can unblock
+// it wakes it the next cycle. Each case drives a small network cycle by cycle
+// under all three kernels and requires the same flit departure cycles, while
+// the activity kernel evaluates strictly less over the stalled window. A
+// missing wake leaves the stalled router asleep, so its departures (and the
+// run's ejections) fall behind lockstep's and the comparison fails.
+
+/// Ring R0 -> R1 -> ... -> R0 with one node per router; `links` gives the
+/// (latency, cycles_per_flit) of each hop Ri -> Ri+1, and the closing hop
+/// back to R0 is a plain one. The tests only send rightwards, so the ring
+/// never wraps and needs no dateline class.
+NetworkSpec chain_spec(const std::vector<std::pair<int, int>>& links,
+                       int num_vcs, int buffer_depth) {
+  const int n = static_cast<int>(links.size()) + 1;
+  NetworkSpec spec = testing::ring_spec(n, num_vcs, buffer_depth);
+  spec.name = "chain";
+  spec.vc_classes = {{0, num_vcs}};
+  for (int i = 0; i + 1 < n; ++i) {
+    LinkSpec& link = spec.links[static_cast<std::size_t>(i)];
+    link.latency = links[static_cast<std::size_t>(i)].first;
+    link.cycles_per_flit = links[static_cast<std::size_t>(i)].second;
+  }
+  for (auto& row : spec.route_table) {
+    for (RouteEntry& entry : row) entry.vc_class = 0;
+  }
+  return spec;
+}
+
+/// R0 writes into a slow token medium read by R1 (one writer, one reader);
+/// a plain link closes the loop back to R0.
+NetworkSpec medium_spec(int cycles_per_flit) {
+  NetworkSpec spec = testing::two_router_spec(/*num_vcs=*/2);
+  spec.name = "medium-pair";
+  spec.vc_classes = {{0, 2}};
+  spec.links.erase(spec.links.begin());  // R0 -> R1 goes over the medium
+  MediumSpec medium;
+  medium.writers = {{0, 0}};
+  medium.readers = {{1, 0}};
+  medium.cycles_per_flit = cycles_per_flit;
+  medium.max_packet_flits = 8;
+  medium.name = "wg";
+  spec.media.push_back(medium);
+  return spec;
+}
+
+struct WakeRun {
+  /// (cycle, link/medium index) of every flit launch, in cycle order.
+  std::vector<std::pair<Cycle, int>> departures;
+  std::vector<Cycle> ejections;  ///< per packet, in ejection order
+  std::int64_t window_evals = 0;  ///< evals over [window_begin, window_end)
+  bool stalled_in_window = false;  ///< some router reported stalled()
+};
+
+/// Steps `spec` for `cycles` under `mode`. `enqueue` runs before the first
+/// cycle, `poke(network, now)` before every cycle (between steps).
+WakeRun run_wake_case(NetworkSpec spec, KernelMode mode, Cycle cycles,
+                      Cycle window_begin, Cycle window_end,
+                      const std::function<void(Network&)>& enqueue,
+                      const std::function<void(Network&, Cycle)>& poke = {}) {
+  const int routers = spec.num_routers();
+  Network network(std::move(spec));
+  network.engine().set_mode(mode);
+  if (mode == KernelMode::kParallel) network.configure_parallel(2, routers);
+  enqueue(network);
+  const auto launched = [&network](std::size_t i) {
+    return i < network.num_network_channels()
+               ? network.network_channel(i).counters().flits
+               : network.medium(i - network.num_network_channels())
+                     .counters()
+                     .flits;
+  };
+  const std::size_t pipes =
+      network.num_network_channels() + network.num_media();
+  std::vector<std::int64_t> seen(pipes, 0);
+  WakeRun run;
+  std::int64_t evals_at_begin = 0;
+  for (Cycle now = 0; now < cycles; ++now) {
+    if (now == window_begin) evals_at_begin = network.engine().stats().evals;
+    if (now == window_end) {
+      run.window_evals = network.engine().stats().evals - evals_at_begin;
+    }
+    if (poke) poke(network, now);
+    network.engine().step();
+    for (std::size_t i = 0; i < pipes; ++i) {
+      for (; seen[i] < launched(i); ++seen[i]) {
+        run.departures.emplace_back(now, static_cast<int>(i));
+      }
+    }
+    if (now >= window_begin && now < window_end) {
+      for (RouterId r = 0; r < routers; ++r) {
+        run.stalled_in_window |= network.router(r).stalled();
+      }
+    }
+  }
+  for (const PacketRecord& record : network.nic().records()) {
+    run.ejections.push_back(record.ejected);
+  }
+  EXPECT_TRUE(network.drained()) << to_string(mode);
+  return run;
+}
+
+/// Runs the case under all three kernels: identical departures and
+/// ejections, and the activity kernel sleeps through the stalled window —
+/// strictly fewer evals than lockstep, and fewer than `busy_bound`, which
+/// a router evaluated on every cycle of the window would exceed.
+void expect_wake_parity(const NetworkSpec& spec, Cycle cycles,
+                        Cycle window_begin, Cycle window_end,
+                        std::int64_t busy_bound,
+                        const std::function<void(Network&)>& enqueue,
+                        const std::function<void(Network&, Cycle)>& poke = {}) {
+  const WakeRun lockstep = run_wake_case(spec, KernelMode::kLockstep, cycles,
+                                         window_begin, window_end, enqueue,
+                                         poke);
+  const WakeRun activity = run_wake_case(spec, KernelMode::kActivity, cycles,
+                                         window_begin, window_end, enqueue,
+                                         poke);
+  const WakeRun parallel = run_wake_case(spec, KernelMode::kParallel, cycles,
+                                         window_begin, window_end, enqueue,
+                                         poke);
+  ASSERT_FALSE(lockstep.departures.empty());
+  EXPECT_EQ(lockstep.departures, activity.departures);
+  EXPECT_EQ(lockstep.departures, parallel.departures);
+  EXPECT_EQ(lockstep.ejections, activity.ejections);
+  EXPECT_EQ(lockstep.ejections, parallel.ejections);
+  EXPECT_TRUE(activity.stalled_in_window);
+  EXPECT_LT(activity.window_evals, lockstep.window_evals);
+  EXPECT_LT(activity.window_evals, busy_bound);
+}
+
+void enqueue_packets(Network& network, NodeId src, NodeId dst, int count,
+                     int flits) {
+  for (int i = 0; i < count; ++i) {
+    network.nic().enqueue_packet(src, dst, network.router_of(dst), flits, 128,
+                                 network.injection_vc_class(src, dst), 0,
+                                 true);
+  }
+}
+
+TEST(SenderWake, RouterBlockedOnZeroCreditsWakesOnCredit) {
+  // R1 drains one flit per 30 cycles over its slow hop, so R0 holds flits
+  // with zero credits toward R1 for ~30 cycles at a time. Only the credit
+  // absorbed by hop0 wakes R0; R1 in turn sleeps on its serialization slot.
+  // The 8-flit packet fits in R0 + R1 buffers, so the NIC goes idle early
+  // and over the window nothing needs evaluating on most cycles.
+  const NetworkSpec spec = chain_spec({{1, 1}, {1, 30}}, /*num_vcs=*/1,
+                                      /*buffer_depth=*/4);
+  const Cycle window_begin = 40;
+  const Cycle window_end = 200;
+  expect_wake_parity(spec, 320, window_begin, window_end,
+                     /*busy_bound=*/window_end - window_begin,
+                     [](Network& network) { enqueue_packets(network, 0, 2, 1, 8); });
+}
+
+TEST(SenderWake, HeadWaitsForMediumWriterLaneToDrain) {
+  // Two 8-flit packets fill the writer's class lane; the medium sends one
+  // flit per 20 cycles, and the second head may enter only once the lane is
+  // empty (~160 cycles). R0 sleeps between the medium's staging pops. The
+  // medium itself is busy throughout, hence one window of evals in the
+  // bound: a router evaluated every cycle as well would exceed it.
+  const NetworkSpec spec = medium_spec(/*cycles_per_flit=*/20);
+  const Cycle window_begin = 20;
+  const Cycle window_end = 150;
+  expect_wake_parity(spec, 400, window_begin, window_end,
+                     /*busy_bound=*/2 * (window_end - window_begin),
+                     [](Network& network) { enqueue_packets(network, 0, 1, 2, 8); });
+}
+
+TEST(SenderWake, SerializationSlotAndOutageWakeTheSender) {
+  // A cycles_per_flit = 3 hop: R0 sleeps between its flits and is woken by
+  // the slot refusal's wake. Mid-packet the hop goes down for 150 cycles;
+  // the 16-flit packet sits in R0's input buffer by then (the NIC is idle),
+  // so R0 sleeps through the outage and the window is (nearly) eval-free.
+  const NetworkSpec spec = chain_spec({{1, 3}}, /*num_vcs=*/1,
+                                      /*buffer_depth=*/16);
+  const Cycle outage_at = 20;
+  const Cycle outage_until = 170;
+  expect_wake_parity(
+      spec, 260, outage_at + 5, outage_until,
+      /*busy_bound=*/outage_until - outage_at - 5,
+      [](Network& network) { enqueue_packets(network, 0, 1, 1, 16); },
+      [&](Network& network, Cycle now) {
+        if (now == outage_at) {
+          network.network_channel_mut(0).set_outage(outage_until, now);
+        }
+      });
 }
 
 }  // namespace

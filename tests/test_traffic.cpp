@@ -2,12 +2,16 @@
 // property-style parameterized checks on permutation invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/sha256.hpp"
 #include "helpers.hpp"
 #include "metrics/runner.hpp"
+#include "topology/registry.hpp"
 #include "traffic/injector.hpp"
 #include "traffic/patterns.hpp"
 
@@ -131,6 +135,52 @@ TEST(Injector, DeterministicAcrossRuns) {
                           net.nic().flits_ejected());
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+/// SHA-256 over "created src dst packet" of every packet a uniform CMESH-64
+/// injector offers across enable -> pause -> resume -> pause, drained to the
+/// last packet. The pause strands pre-drawn fires (the missed-fire restart
+/// path) and stale lookahead batches; CMESH adds the per-packet alt-route
+/// coin to each node's stream.
+std::string pause_resume_stream_digest(KernelMode mode) {
+  TopologyOptions options;
+  options.num_cores = 64;
+  Network net(build_topology(TopologyKind::kCMesh, options));
+  net.engine().set_mode(mode);
+  TrafficPattern pattern(PatternKind::kUniform, 64);
+  Injector::Params params;
+  params.rate = 0.02;
+  params.master_seed = 7;
+  Injector injector(&net, pattern, params);
+  net.engine().add(&injector);
+  net.engine().run(400);
+  injector.set_enabled(false);
+  net.engine().run(300);
+  injector.set_enabled(true);
+  net.engine().run(400);
+  injector.set_enabled(false);
+  EXPECT_TRUE(testing::drain(net));
+  std::vector<PacketRecord> records = net.nic().records();
+  std::sort(records.begin(), records.end(),
+            [](const PacketRecord& a, const PacketRecord& b) {
+              return a.packet < b.packet;
+            });
+  std::string stream;
+  for (const PacketRecord& r : records) {
+    stream += std::to_string(r.created) + ' ' + std::to_string(r.src) + ' ' +
+              std::to_string(r.dst) + ' ' + std::to_string(r.packet) + '\n';
+  }
+  EXPECT_EQ(records.size(), static_cast<std::size_t>(injector.packets_offered()));
+  return sha256_hex(stream);
+}
+
+TEST(Injector, PauseResumeStreamIsPinned) {
+  // Recorded with the per-node scan the next-event heap replaced: the heap
+  // must offer the same packets, at the same cycles, in the same id order.
+  constexpr const char* kStreamDigest =
+      "9d7c9d03ef979ba45c69b435d0b42a7459e3c090b520d93b1e5827a0e312deea";
+  EXPECT_EQ(pause_resume_stream_digest(KernelMode::kActivity), kStreamDigest);
+  EXPECT_EQ(pause_resume_stream_digest(KernelMode::kLockstep), kStreamDigest);
 }
 
 TEST(Injector, RejectsSizeMismatch) {
