@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "fault/protocol.hpp"
+#include "network/nic.hpp"
 #include "network/router.hpp"
 #include "obs/trace.hpp"
 
@@ -280,6 +281,12 @@ void Channel::eval(Cycle now) {
   if (credited && source_ != nullptr && source_->stalled()) {
     source_->request_wake(now + 1);
   }
+  // Same for the NIC, which drops a port blocked on credits from its ready
+  // set: the credit re-raises the port, visible to the NIC's eval at now+1.
+  if (credited && nic_ != nullptr && !nic_eject_) {
+    nic_->raise(nic_node_);
+    nic_->request_wake(now + 1);
+  }
   if (fault_ != nullptr) {
     // Receiver-side CRC check, one cycle before each corrupt copy would
     // become pollable: NACK + bounded-backoff retransmission pushes the
@@ -305,6 +312,9 @@ void Channel::eval(Cycle now) {
 }
 
 void Channel::commit(Cycle /*now*/) {
+  // An eject channel's flit arrives at now+1, when the accept-time sink
+  // wake has the NIC evaluating; the raise puts the port in its ready set.
+  if (nic_eject_ && !staged_flits_.empty()) nic_->raise(nic_node_);
   for (auto& t : staged_flits_) flit_pipe_.push_back(std::move(t));
   staged_flits_.clear();
   for (auto& c : staged_credits_) credit_pipe_.push_back(c);

@@ -39,6 +39,7 @@ namespace fault {
 struct Protocol;
 }
 
+class Nic;
 class Router;
 
 /// Maps a deadlock class to a contiguous range of VC ids.
@@ -91,9 +92,20 @@ class Channel final : public Clocked {
   /// Router driving `out()`, woken when this channel unblocks it: after a
   /// credit lands while it is stalled, and when the serialization slot (or
   /// outage) that refused its flit ends. Wired once by the Network
-  /// assembler; optional (the NIC's injection channels have none — the NIC
-  /// stays active while it queues).
+  /// assembler; optional (a node's injection channel has none: the NIC
+  /// drives it, and `set_nic_port` covers the wake).
   void set_source(Router* source) { source_ = source; }
+
+  /// Makes this channel a node channel of `nic`'s port `node`, which it
+  /// raises (Nic::raise) whenever that port gains work: as the eject
+  /// channel (`eject`) when it latches a flit, as the inject channel when
+  /// it absorbs a credit — then also waking the NIC at now+1, the first
+  /// NIC eval that can see the credit. Wired once by the Network assembler.
+  void set_nic_port(Nic* nic, NodeId node, bool eject) {
+    nic_ = nic;
+    nic_node_ = node;
+    nic_eject_ = eject;
+  }
 
   MediumType medium() const { return medium_; }
   int latency() const { return latency_; }
@@ -218,6 +230,9 @@ class Channel final : public Clocked {
 
   Clocked* sink_ = nullptr;   ///< woken at forward-pipe arrivals
   Router* source_ = nullptr;  ///< woken when the sender side unblocks
+  Nic* nic_ = nullptr;        ///< raised for port nic_node_ (set_nic_port)
+  NodeId nic_node_ = 0;
+  bool nic_eject_ = false;
 
   LinkCounters counters_;
   obs::Counter obs_flits_;

@@ -115,12 +115,14 @@ Network::Network(NetworkSpec spec) : spec_(std::move(spec)) {
         Length{}, &spec_.vc_classes, "inj" + std::to_string(n));
     routers_[r]->connect_input(in_port, inject->in());
     inject->set_sink(routers_[r].get());
+    inject->set_nic_port(nic_.get(), n, /*eject=*/false);
     auto eject = std::make_unique<Channel>(
         MediumType::kElectrical, 1, 1, spec_.num_vcs, spec_.buffer_depth,
         Length{}, &spec_.vc_classes, "ej" + std::to_string(n));
     routers_[r]->connect_output(out_port, eject->out());
     eject->set_sink(nic_.get());
     eject->set_source(routers_[r].get());
+    eject->set_nic_port(nic_.get(), n, /*eject=*/true);
     nic_->connect(n, inject->out(), eject->in());
     node_channels_.push_back(std::move(inject));
     node_channels_.push_back(std::move(eject));

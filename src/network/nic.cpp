@@ -1,5 +1,6 @@
 #include "network/nic.hpp"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -8,6 +9,9 @@ namespace ownsim {
 Nic::Nic(int num_nodes) {
   if (num_nodes < 1) throw std::invalid_argument("Nic: num_nodes must be >= 1");
   ports_.resize(static_cast<std::size_t>(num_nodes));
+  const auto words = (static_cast<std::size_t>(num_nodes) + 63) / 64;
+  ready_.assign(words, 0);
+  mailbox_ = std::vector<std::atomic<std::uint64_t>>(words);
 }
 
 void Nic::connect(NodeId node, OutputEndpoint* inject, InputEndpoint* eject) {
@@ -43,6 +47,7 @@ PacketId Nic::enqueue_packet(NodeId src, NodeId dst, RouterId dst_router,
   }
   queued_flits_ += size_flits;
   ++packets_created_;
+  ready_[static_cast<std::size_t>(src) / 64] |= std::uint64_t{1} << (src % 64);
   // Callers enqueue either mid-eval (injector, eject callbacks) — where the
   // NIC's eval slot for `now` has already passed, so the engine clamps the
   // wake to now+1 (matching lockstep: the NIC is registered before every
@@ -53,61 +58,88 @@ PacketId Nic::enqueue_packet(NodeId src, NodeId dst, RouterId dst_router,
 }
 
 void Nic::eval(Cycle now) {
-  for (auto& port : ports_) {
-    // ---- Injection: at most one flit per node per cycle. -------------------
-    if (port.inject != nullptr && !port.queue.empty()) {
-      Flit& flit = port.queue.front();
-      if (flit.head && port.open_vc == kInvalidId) {
-        port.open_vc = port.inject->alloc_vc(flit.vc_class, now);
-      }
-      if (port.open_vc != kInvalidId) {
-        flit.vc = port.open_vc;
-        if (port.inject->can_accept(flit, now)) {
-          if (flit.head) {
-            // Stamp the whole packet (its flits are contiguous at the queue
-            // front) so the tail flit carries the injection time to ejection.
-            for (std::size_t k = 0;
-                 k < port.queue.size() &&
-                 port.queue[k].packet == flit.packet;
-                 ++k) {
-              port.queue[k].injected = now;
-            }
+  for (std::size_t w = 0; w < ready_.size(); ++w) {
+    if (mailbox_[w].load(std::memory_order_relaxed) != 0) {
+      ready_[w] |= mailbox_[w].exchange(0, std::memory_order_relaxed);
+    }
+  }
+  // Ascending port order, re-reading the word after every visit: a packet an
+  // eject callback enqueues at a higher port is injected this same cycle,
+  // one at this or a lower port the next — exactly as a scan of all ports.
+  for (std::size_t w = 0; w < ready_.size(); ++w) {
+    std::uint64_t visited = 0;  // this bit and every bit below it
+    for (std::uint64_t pending = ready_[w]; pending != 0;
+         pending = ready_[w] & ~visited) {
+      const int bit = std::countr_zero(pending);
+      visited = (std::uint64_t{2} << bit) - 1;
+      visit(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(bit)), now);
+    }
+  }
+}
+
+void Nic::visit(NodeId node, Cycle now) {
+  Port& port = ports_[static_cast<std::size_t>(node)];
+  std::uint64_t& word = ready_[static_cast<std::size_t>(node) / 64];
+  const std::uint64_t mask = std::uint64_t{1} << (node % 64);
+  // ---- Injection: at most one flit per node per cycle. ---------------------
+  // The node's inject channel is a one-cycle, one-flit-per-cycle pipe, so the
+  // only refusal is a missing credit, and the channel raises the port again
+  // when one arrives.
+  bool keep = false;
+  if (port.inject != nullptr && !port.queue.empty()) {
+    Flit& flit = port.queue.front();
+    if (flit.head && port.open_vc == kInvalidId) {
+      port.open_vc = port.inject->alloc_vc(flit.vc_class, now);
+    }
+    if (port.open_vc != kInvalidId) {
+      flit.vc = port.open_vc;
+      if (port.inject->can_accept(flit, now)) {
+        if (flit.head) {
+          // Stamp the whole packet (its flits are contiguous at the queue
+          // front) so the tail flit carries the injection time to ejection.
+          for (std::size_t k = 0;
+               k < port.queue.size() && port.queue[k].packet == flit.packet;
+               ++k) {
+            port.queue[k].injected = now;
           }
-          const bool tail = flit.tail;
-          port.inject->accept(flit, now);
-          port.queue.pop_front();
-          --queued_flits_;
-          ++flits_injected_;
-          if (tail) port.open_vc = kInvalidId;
         }
+        const bool tail = flit.tail;
+        port.inject->accept(flit, now);
+        port.queue.pop_front();
+        --queued_flits_;
+        ++flits_injected_;
+        if (tail) port.open_vc = kInvalidId;
+        keep = !port.queue.empty();
       }
     }
+  }
+  // Before the ejection step: a reply its callback enqueues here re-raises.
+  if (!keep) word &= ~mask;
 
-    // ---- Ejection: at most one flit per node per cycle. --------------------
-    if (port.eject != nullptr) {
-      const Flit* flit = port.eject->poll(now);
-      if (flit != nullptr) {
-        ++flits_ejected_;
-        if (flit->tail) {
-          PacketRecord rec;
-          rec.packet = flit->packet;
-          rec.src = flit->src;
-          rec.dst = flit->dst;
-          rec.created = flit->created;
-          rec.injected = flit->injected;
-          rec.ejected = now;
-          rec.hops = flit->hops;
-          rec.size_flits = flit->packet_size;
-          rec.measured = flit->measured;
-          records_.push_back(rec);
-          ++packets_ejected_;
-          if (rec.measured) ++measured_ejected_;
-          if (on_eject_) on_eject_(records_.back(), now);
-        }
-        const VcId vc = flit->vc;
-        port.eject->pop(now);
-        port.eject->push_credit(vc, now);
+  // ---- Ejection: at most one flit per node per cycle. ----------------------
+  if (port.eject != nullptr) {
+    const Flit* flit = port.eject->poll(now);
+    if (flit != nullptr) {
+      ++flits_ejected_;
+      if (flit->tail) {
+        PacketRecord rec;
+        rec.packet = flit->packet;
+        rec.src = flit->src;
+        rec.dst = flit->dst;
+        rec.created = flit->created;
+        rec.injected = flit->injected;
+        rec.ejected = now;
+        rec.hops = flit->hops;
+        rec.size_flits = flit->packet_size;
+        rec.measured = flit->measured;
+        records_.push_back(rec);
+        ++packets_ejected_;
+        if (rec.measured) ++measured_ejected_;
+        if (on_eject_) on_eject_(records_.back(), now);
       }
+      const VcId vc = flit->vc;
+      port.eject->pop(now);
+      port.eject->push_credit(vc, now);
     }
   }
 }

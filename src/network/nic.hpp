@@ -10,6 +10,7 @@
 // open-loop methodology for latency/throughput curves (Fig 7b,c).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -43,14 +44,33 @@ class Nic final : public Clocked {
     on_eject_ = std::move(callback);
   }
 
+  /// Visits only the ports in the ready set, in ascending order (see
+  /// `is_idle`); a port the visit cannot advance leaves the set.
   void eval(Cycle now) override;
   void commit(Cycle /*now*/) override {}
 
-  /// Dormant when every source queue is empty (an open VC implies the rest
-  /// of that packet is still queued, so queued_flits_ == 0 is a complete
-  /// test). Ejection work is covered by the eject channels' sink wakes;
-  /// `enqueue_packet` posts a self-wake.
-  bool is_idle() const override { return queued_flits_ == 0; }
+  /// Dormant when no port is ready (DESIGN.md §5e). A port is ready from
+  /// the enqueue of a packet until its queue empties or its injection
+  /// channel refuses a flit for want of a credit, and for one visit after
+  /// its eject channel latches a flit. Whatever makes a dormant port
+  /// ready wakes the NIC: `enqueue_packet` itself, the eject channel's
+  /// arrival wake, the inject channel's credit wake (`raise`).
+  bool is_idle() const override {
+    for (const std::uint64_t word : ready_) {
+      if (word != 0) return false;
+    }
+    return true;
+  }
+
+  /// Marks `node`'s port ready from the next eval: called by the node's
+  /// eject channel when it latches a flit (commit) and by its inject channel
+  /// when it absorbs a credit (eval). Under the parallel kernel those run in
+  /// router lanes concurrently, hence the atomic mailbox, which the NIC
+  /// merges at its next eval — a later phase, across barriers (§5i).
+  void raise(NodeId node) {
+    mailbox_[static_cast<std::size_t>(node) / 64].fetch_or(
+        std::uint64_t{1} << (node % 64), std::memory_order_relaxed);
+  }
 
   /// Packets fully ejected so far (records kept in ejection order).
   const std::vector<PacketRecord>& records() const { return records_; }
@@ -79,7 +99,12 @@ class Nic final : public Clocked {
     VcId open_vc = kInvalidId;  ///< VC of the packet currently injecting
   };
 
+  /// One port's injection step then ejection step, as `eval` visits it.
+  void visit(NodeId node, Cycle now);
+
   std::vector<Port> ports_;
+  std::vector<std::uint64_t> ready_;  ///< ready set, one bit per port
+  std::vector<std::atomic<std::uint64_t>> mailbox_;  ///< see raise()
   std::vector<PacketRecord> records_;
   EjectCallback on_eject_;
   PacketId next_packet_ = 0;

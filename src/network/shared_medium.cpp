@@ -166,8 +166,8 @@ void SharedMedium::Reader::push_credit(VcId vc, Cycle now) {
     medium->dirty_readers_.push_back(index);
   }
   staged_credits.push_back({vc, now + 1});
-  // Latch this cycle. No wake: a dormant medium has nothing to spend credits
-  // on, and every non-idle eval absorbs all credits due by then first.
+  // Latch this cycle. No wake: the commit ends any sleep the credit could
+  // end, and every eval absorbs all credits due by then first.
   medium->request_commit();
 }
 
@@ -220,21 +220,91 @@ bool SharedMedium::try_start(int w, Cycle now) {
   return false;
 }
 
-void SharedMedium::eval(Cycle now) {
-  // 0. Token catch-up (activity kernel): each cycle skipped while dormant
-  //    would have failed try_start (nothing staged) and moved the token one
-  //    writer position, without touching the token-wait/retry counters
-  //    (those are gated on nonempty_stagings_ > 0). Reconstruct that in
-  //    closed form. Gated on scheduled() so manually driven media (unit
-  //    tests) keep per-call semantics; under lockstep the gap is always 0.
-  if (scheduled()) {
-    const Cycle gap = now - last_eval_ - 1;
-    if (gap > 0 && params_.arbitration == ArbitrationKind::kTokenRing) {
-      token_ = static_cast<int>((token_ + gap % params_.num_writers) %
-                                params_.num_writers);
+bool SharedMedium::can_start(int w) const {
+  const Writer& writer = writers_[static_cast<std::size_t>(w)];
+  for (std::size_t c = 0; c < writer.per_class.size(); ++c) {
+    const ClassStaging& lane = writer.per_class[c];
+    if (lane.staging.empty()) continue;
+    const Flit& head = lane.staging.front();
+    const Reader& reader = readers_.at(static_cast<std::size_t>(
+        params_.select_reader(head.dst, head.dst_router)));
+    const VcClassRange& cls = (*classes_)[c];
+    for (VcId vc = cls.first; vc < cls.first + cls.count; ++vc) {
+      if (!reader.vc_busy[vc] && reader.credits[vc] > 0) return true;
     }
-    last_eval_ = now;
   }
+  return false;
+}
+
+void SharedMedium::catch_up(Cycle through) {
+  const Cycle gap = through - last_eval_;
+  last_eval_ = through;
+  // Each skipped cycle without a transmission failed try_start (plan_sleep
+  // guarantees it) and moved the token one writer; with heads staged it was
+  // also a token wait and an arbitration retry. Ideal arbitration and an
+  // active transmission change nothing on such cycles.
+  if (gap <= 0 || active_ ||
+      params_.arbitration != ArbitrationKind::kTokenRing) {
+    return;
+  }
+  token_ = static_cast<int>((token_ + gap % params_.num_writers) %
+                            params_.num_writers);
+  if (sleep_ == Sleep::kTokenWait) {
+    counters_.token_wait_cycles += gap;
+    obs_token_wait_.add(gap);
+    obs_arb_retries_.add(gap);
+  }
+}
+
+void SharedMedium::settle(Cycle through) {
+  if (event_driven()) catch_up(through);
+}
+
+void SharedMedium::plan_sleep(Cycle now) {
+  sleep_ = Sleep::kAwake;
+  if (token_loss_pending_) return;
+  if (active_) {
+    const ClassStaging& lane =
+        writers_[static_cast<std::size_t>(active_writer_)]
+            .per_class[static_cast<std::size_t>(active_class_)];
+    if (lane.staging.empty() ||
+        readers_[static_cast<std::size_t>(active_reader_)]
+                .credits[active_vc_] == 0) {
+      sleep_ = Sleep::kBlocked;
+    } else if (next_tx_slot_ > now + 1) {
+      sleep_ = Sleep::kSlot;
+      request_wake(next_tx_slot_);
+    }
+    return;
+  }
+  if (nonempty_stagings_ == 0) {
+    sleep_ = Sleep::kEmpty;
+    return;
+  }
+  // Distance from the next cycle's token holder to the first writer that
+  // can start. Ideal arbitration grants any of them at once.
+  int distance = -1;
+  for (int k = 0; k < params_.num_writers; ++k) {
+    if (can_start((token_ + k) % params_.num_writers)) {
+      distance = k;
+      break;
+    }
+  }
+  if (distance == 0) return;
+  if (params_.arbitration == ArbitrationKind::kIdeal) {
+    if (distance < 0) sleep_ = Sleep::kBlocked;
+    return;
+  }
+  sleep_ = Sleep::kTokenWait;
+  if (distance > 0) request_wake(now + 1 + distance);
+}
+
+void SharedMedium::eval(Cycle now) {
+  // 0. Catch-up (activity/parallel kernels) for the cycles skipped while
+  //    dormant. Gated on event_driven(): manually driven media (unit tests)
+  //    keep per-call semantics, and under lockstep the gap is always 0.
+  if (event_driven()) catch_up(now - 1);
+  last_eval_ = now;
 
   // 0b. Token-loss recovery: the MAC regenerates the token at writer 0 once
   //     the recovery protocol completes. Runs before arbitration so the
@@ -365,10 +435,21 @@ void SharedMedium::eval(Cycle now) {
       }
     }
   }
+  if (event_driven()) plan_sleep(now);
 }
 
-void SharedMedium::commit(Cycle /*now*/) {
+void SharedMedium::commit(Cycle now) {
   MutexLock lock(dirty_mu_);
+  // Latched staging ends every sleep but the slot wait (its lane already
+  // holds the next flit); latched credits end the sleeps that may wait for
+  // one. Cycles through `now` saw the state before this latch, so they are
+  // caught up first; the engine then evaluates the medium from now+1.
+  if (sleep_ != Sleep::kAwake && sleep_ != Sleep::kSlot &&
+      (!dirty_writers_.empty() ||
+       (!dirty_readers_.empty() && sleep_ != Sleep::kEmpty))) {
+    catch_up(now);
+    sleep_ = Sleep::kAwake;
+  }
   for (const int w : dirty_writers_) {
     Writer& writer = writers_[static_cast<std::size_t>(w)];
     for (auto& lane : writer.per_class) {

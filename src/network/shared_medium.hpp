@@ -99,16 +99,21 @@ class SharedMedium final : public Clocked {
   void eval(Cycle now) override;
   void commit(Cycle now) override;
 
-  /// Dormant when no transmission is active and no writer has flits staged.
-  /// Pending reader credits are absorbed lazily (credits are only *read* by
-  /// try_start / the active-transmission path, which run when non-idle), and
-  /// the free-running token position is reconstructed in closed form at the
-  /// next eval — both lockstep-identical (DESIGN.md §5e). A lost token forces
-  /// per-cycle evals: the closed-form catch-up assumes a *rotating* token, so
-  /// both kernels must observe the frozen token the same way (§5f).
-  bool is_idle() const override {
-    return !active_ && nonempty_stagings_ == 0 && !token_loss_pending_;
-  }
+  /// Dormant whenever the next evals would change nothing but the token
+  /// position and the token-wait counters (DESIGN.md §5e): nothing staged;
+  /// an active transmission waiting for its serialization slot (self-wake
+  /// at the slot) or for the writer's next flit / a reader credit; token
+  /// arbitration until the token reaches the first writer that can start
+  /// (self-wake then); ideal arbitration with no writer able to start. A
+  /// commit that latches staging or credits the sleep could be waiting for
+  /// ends it. Skipped cycles are caught up in closed form at the next eval
+  /// or `settle`. A lost token forces per-cycle evals: the catch-up assumes
+  /// a *rotating* token, so both kernels must observe the frozen token the
+  /// same way (§5f).
+  bool is_idle() const override { return sleep_ != Sleep::kAwake; }
+
+  /// Catches the token and the token-wait counters up through `through`.
+  void settle(Cycle through) override;
 
   /// Component to wake when a delivery reaches reader `index` (the router
   /// polling that reader endpoint). Wired once by the Network assembler.
@@ -217,6 +222,31 @@ class SharedMedium final : public Clocked {
   /// (round-robin among its per-class stagings).
   bool try_start(int w, Cycle now);
 
+  /// `try_start`'s test without its side effects: some staged head of
+  /// writer `w` has a free reader VC with a credit.
+  bool can_start(int w) const;
+
+  /// Replays the cycles since the last eval that the engine skipped, through
+  /// cycle `through`, in closed form: a rotating token moves one writer per
+  /// cycle, and while heads waited for it (kTokenWait) every cycle was also
+  /// a token wait and an arbitration retry.
+  void catch_up(Cycle through);
+
+  /// Ends a scheduled eval: picks the sleep state (and self-wake) that
+  /// keeps the skipped cycles lockstep-identical, or stays awake.
+  void plan_sleep(Cycle now);
+
+  /// Why the medium is dormant; kAwake keeps it in the active set.
+  enum class Sleep : std::uint8_t {
+    kAwake,
+    kEmpty,      ///< no transmission, nothing staged
+    kSlot,       ///< transmitting, next flit ready; self-wake at the slot
+    kBlocked,    ///< transmitting without flit/credit, or ideal arbitration
+                 ///< with no writer able to start
+    kTokenWait,  ///< token arbitration with staged heads; self-wake when the
+                 ///< token reaches one that can start (if any)
+  };
+
   Params params_;
   const std::vector<VcClassRange>* classes_;
   std::vector<Writer> writers_;
@@ -224,7 +254,8 @@ class SharedMedium final : public Clocked {
   std::vector<int> rr_vc_next_;  // per-class RR pointer for reader VC choice
 
   int token_ = 0;
-  Cycle last_eval_ = -1;  ///< for token catch-up across skipped cycles
+  Cycle last_eval_ = -1;  ///< last cycle the token/counters account for
+  Sleep sleep_ = Sleep::kAwake;
   bool active_ = false;
   int active_writer_ = 0;
   int active_class_ = 0;

@@ -25,6 +25,14 @@
 // downstream credit): the peer that owns that state must then wake it the
 // cycle the change first becomes visible — a "sender-side wake", exact at
 // now+1 when the peer is registered (evaluated) after it (DESIGN.md §5e).
+// A component that wakes itself only from its own `commit` (a shared medium
+// whose staging or credits just latched) needs no wake at all: the engine
+// re-checks `is_idle()` after every commit it runs and evaluates a component
+// that turned non-idle from the next cycle.
+// State a dormant component accrues per skipped cycle (a token position, a
+// wait counter) may lag while it sleeps; `settle(through)` brings it up to
+// date, and the engine calls it whenever `run`/`run_until` return, so
+// counters read between runs are always lockstep's.
 // The default `is_idle()` returns false: unaware components simply stay in
 // the active set every cycle, which is always correct (lockstep behaviour).
 #pragma once
@@ -45,6 +53,12 @@ class Clocked {
   /// Consulted by the engine after each commit; see the contract above.
   virtual bool is_idle() const { return false; }
 
+  /// Brings state deferred while dormant (closed-form catch-up) up to date
+  /// through cycle `through`, the last cycle the engine executed. Called by
+  /// `Engine::run`/`run_until` on return under the activity and parallel
+  /// kernels; must not change any later behaviour. No-op by default.
+  virtual void settle(Cycle through) { (void)through; }
+
   /// Asks the engine to evaluate this component at cycle `at` (clamped to
   /// the earliest cycle the engine can still honor). Public because peers
   /// wake each other (a channel wakes its sink router at flit arrival).
@@ -57,6 +71,12 @@ class Clocked {
   /// components (unit tests) keep plain per-call semantics.
   bool scheduled() const { return engine_ != nullptr; }
 
+  /// True when the engine may skip this component's cycles: registered with
+  /// an activity or parallel engine. Sleep planning and closed-form catch-up
+  /// gate on this, so lockstep (which evaluates every cycle) and manually
+  /// driven components pay for neither.
+  bool event_driven() const { return event_driven_; }
+
   /// Asks the engine to commit this component at the current cycle even if
   /// it is dormant (staged writes must latch). No-op when unscheduled.
   void request_commit();
@@ -65,6 +85,7 @@ class Clocked {
   friend class Engine;
   Engine* engine_ = nullptr;
   int sched_id_ = -1;
+  bool event_driven_ = false;  ///< maintained by Engine::add / set_mode
 };
 
 }  // namespace ownsim

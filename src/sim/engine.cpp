@@ -35,6 +35,7 @@ void Engine::add(Clocked* component) {
   }
   component->engine_ = this;
   component->sched_id_ = static_cast<int>(components_.size());
+  component->event_driven_ = mode_ != KernelMode::kLockstep;
   components_.push_back(component);
   // New components start active (lockstep semantics from the next cycle);
   // idle ones retire after their first evaluated cycle. Ids are monotone, so
@@ -61,6 +62,14 @@ void Engine::set_mode(KernelMode mode) {
     teardown_parallel();
   }
   mode_ = mode;
+  for (Clocked* c : components_) {
+    c->event_driven_ = mode != KernelMode::kLockstep;
+  }
+}
+
+void Engine::settle() {
+  if (mode_ == KernelMode::kLockstep || now_ == 0) return;
+  for (Clocked* c : components_) c->settle(now_ - 1);
 }
 
 void Engine::wake(Clocked* component, Cycle at) {
@@ -216,6 +225,7 @@ void Engine::run(Cycle cycles) {
       step();
     }
   }
+  settle();
 }
 
 bool Engine::run_until(const std::function<bool()>& done, Cycle max_cycles) {
@@ -228,6 +238,7 @@ bool Engine::run_until(const std::function<bool()>& done, Cycle max_cycles) {
     }
     return false;
   }
+  bool fired = false;
   while (now_ < deadline) {
     if (globally_idle()) {
       // Nothing is awake: component state is frozen until the next wakeup, so
@@ -235,15 +246,20 @@ bool Engine::run_until(const std::function<bool()>& done, Cycle max_cycles) {
       // (no-op) cycle, exactly as the lockstep loop would have.
       if (done()) {
         ++now_;
-        return true;
+        fired = true;
+        break;
       }
       skip_to_next_event(deadline);
       continue;
     }
     step();
-    if (done()) return true;
+    if (done()) {
+      fired = true;
+      break;
+    }
   }
-  return false;
+  settle();
+  return fired;
 }
 
 }  // namespace ownsim

@@ -81,6 +81,9 @@ class Engine {
 
   /// Advances `cycles` cycles; in activity mode, globally idle stretches are
   /// skipped in one jump to the next wakeup (or to the end of the budget).
+  /// `run` and `run_until` settle every component on return (see
+  /// Clocked::settle), so state read between runs is lockstep's; `step`
+  /// does not.
   void run(Cycle cycles);
 
   /// Steps until `done()` returns true or `max_cycles` elapse. Returns true
@@ -123,6 +126,10 @@ class Engine {
 
   void step_lockstep();
   void step_activity();
+
+  /// Calls `settle(now_ - 1)` on every component (activity and parallel
+  /// kernels; lockstep defers nothing). From the coordinator only.
+  void settle();
 
   /// True when no component is active and no wakeup is due at `now_`
   /// (then nothing can change until `next_wake()`).

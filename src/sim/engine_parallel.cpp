@@ -493,6 +493,7 @@ void Engine::parallel_run(Cycle cycles) {
     rt.failed_.store(false, std::memory_order_relaxed);
     rethrow_runtime_error(rt, rt.coordinator_error_, rt.worker_errors_);
   }
+  settle();  // workers are parked at barrier A
 }
 
 bool Engine::parallel_run_until(const std::function<bool()>& done,
@@ -523,6 +524,7 @@ bool Engine::parallel_run_until(const std::function<bool()>& done,
     rt.failed_.store(false, std::memory_order_relaxed);
     rethrow_runtime_error(rt, rt.coordinator_error_, rt.worker_errors_);
   }
+  settle();  // workers are parked at barrier A
   return fired;
 }
 

@@ -1,8 +1,16 @@
 // Direct unit tests for SharedMedium's per-class writer lanes (the deadlock-
-// critical structure), arbitration variants, and parameter validation.
+// critical structure), arbitration variants, parameter validation, and the
+// medium's sleep states under the activity kernel (DESIGN.md §5e).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "network/shared_medium.hpp"
+#include "obs/counters.hpp"
+#include "sim/engine.hpp"
 
 namespace ownsim {
 namespace {
@@ -159,6 +167,250 @@ TEST(MediumLanes, MulticastCountsEveryListener) {
   EXPECT_EQ(medium.reader(0)->poll(19), nullptr);
   EXPECT_EQ(medium.reader(1)->poll(19), nullptr);
   EXPECT_NE(medium.reader(2)->poll(19), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Medium sleep (DESIGN.md §5e). Each case runs the same scripted medium on a
+// lockstep and an activity engine side by side, one `run(1)` at a time, and
+// after every cycle requires the same token position, token-wait cycles,
+// arbitration retries and launched flits, while the activity engine
+// evaluates less. A sleep state that lacks its wake strands the medium (its
+// flits fall behind lockstep's); a missing `settle` leaves the token and the
+// wait counters behind between runs.
+
+/// Calls `script(medium, now)` in its eval, like a router registered next to
+/// the medium: before it ("early", the routers that write and read it) or
+/// after it ("late", like the fault campaign). Always active.
+class Script final : public Clocked {
+ public:
+  using Fn = std::function<void(SharedMedium&, Cycle)>;
+  Script(SharedMedium* medium, Fn fn) : medium_(medium), fn_(std::move(fn)) {}
+  void eval(Cycle now) override {
+    if (fn_) fn_(*medium_, now);
+  }
+  void commit(Cycle /*now*/) override {}
+  bool is_idle() const override { return false; }
+
+ private:
+  SharedMedium* medium_;
+  Fn fn_;
+};
+
+/// One engine with an early script, the medium and a late script.
+struct SleepRig {
+  SleepRig(const SharedMedium::Params& params,
+           const std::vector<VcClassRange>* classes, KernelMode mode,
+           const Script::Fn& early, const Script::Fn& late)
+      : medium(params, classes),
+        early_script(&medium, early),
+        late_script(&medium, late) {
+    medium.bind_obs(registry);
+    engine.set_mode(mode);
+    engine.add(&early_script);
+    engine.add(&medium);
+    engine.add(&late_script);
+  }
+  std::int64_t arb_retries() const {
+    return registry.value("medium.unit.arb_retries");
+  }
+
+  obs::Registry registry;
+  SharedMedium medium;
+  Script early_script;
+  Script late_script;
+  Engine engine;
+};
+
+/// A router-like sender on one writer: `flits`-flit packets to `dst`, one
+/// flit per cycle whenever the writer's lane admits it.
+class Sender {
+ public:
+  Sender(int writer, int flits, NodeId dst)
+      : writer_(writer), flits_(flits), dst_(dst) {}
+
+  void step(SharedMedium& medium, Cycle now) {
+    OutputEndpoint* endpoint = medium.writer(writer_);
+    if (lane_ == kInvalidId) {
+      lane_ = endpoint->alloc_vc(0, now);
+      if (lane_ == kInvalidId) return;
+    }
+    Flit flit = make_flit(packet_, seq_ == 0, seq_ == flits_ - 1, lane_);
+    flit.dst = dst_;
+    flit.dst_router = dst_;
+    if (!endpoint->can_accept(flit, now)) return;
+    endpoint->accept(flit, now);
+    if (++seq_ == flits_) {
+      seq_ = 0;
+      lane_ = kInvalidId;
+      ++packet_;
+    }
+  }
+
+ private:
+  int writer_;
+  int flits_;
+  NodeId dst_;
+  PacketId packet_ = 0;
+  int seq_ = 0;
+  VcId lane_ = kInvalidId;
+};
+
+/// A reader router: ejects one due flit per cycle and returns its credit.
+void drain_reader(SharedMedium& medium, int reader, Cycle now) {
+  InputEndpoint* endpoint = medium.reader(reader);
+  if (const Flit* flit = endpoint->poll(now)) {
+    const VcId vc = flit->vc;
+    endpoint->pop(now);
+    endpoint->push_credit(vc, now);
+  }
+}
+
+/// Builds a fresh script (with its own sender state) for each rig.
+using ScriptFactory = std::function<Script::Fn()>;
+
+/// Runs both kernels for `cycles` cycles, comparing after every `run(1)`.
+/// Returns the activity kernel's medium evals (the scripts are evaluated on
+/// every cycle in both kernels).
+std::int64_t expect_sleep_parity(const SharedMedium::Params& params,
+                                 const std::vector<VcClassRange>& classes,
+                                 Cycle cycles, const ScriptFactory& early,
+                                 const ScriptFactory& late = {}) {
+  const auto make = [&](const ScriptFactory& factory) {
+    return factory ? factory() : Script::Fn{};
+  };
+  SleepRig lockstep(params, &classes, KernelMode::kLockstep, make(early),
+                    make(late));
+  SleepRig activity(params, &classes, KernelMode::kActivity, make(early),
+                    make(late));
+  for (Cycle now = 0; now < cycles; ++now) {
+    lockstep.engine.run(1);
+    activity.engine.run(1);
+    const MediumCounters& want = lockstep.medium.counters();
+    const MediumCounters& got = activity.medium.counters();
+    EXPECT_EQ(lockstep.medium.token_position(),
+              activity.medium.token_position())
+        << "cycle " << now;
+    EXPECT_EQ(want.token_wait_cycles, got.token_wait_cycles) << "cycle " << now;
+    EXPECT_EQ(lockstep.arb_retries(), activity.arb_retries()) << "cycle " << now;
+    EXPECT_EQ(want.flits, got.flits) << "cycle " << now;
+    EXPECT_EQ(want.token_recoveries, got.token_recoveries) << "cycle " << now;
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GT(lockstep.medium.counters().flits, 0);
+  const std::int64_t medium_evals =
+      activity.engine.stats().evals - 2 * activity.engine.now();
+  EXPECT_LT(activity.engine.stats().evals, lockstep.engine.stats().evals);
+  return medium_evals;
+}
+
+SharedMedium::Params sleep_params(int writers, ArbitrationKind arbitration) {
+  auto params = base_params();
+  params.num_writers = writers;
+  params.num_vcs = 2;
+  params.buffer_depth = 2;
+  params.arbitration = arbitration;
+  return params;
+}
+
+/// Four writers stream 2-flit packets into a reader that only drains on
+/// alternate 100-cycle windows: in between, every reader VC is out of
+/// credits, so staged heads (and a head launched mid-packet) wait.
+ScriptFactory credit_starved_readers() {
+  return [] {
+    auto senders = std::make_shared<std::vector<Sender>>();
+    for (int w = 0; w < 4; ++w) senders->emplace_back(w, 2, 0);
+    return [senders](SharedMedium& medium, Cycle now) {
+      for (Sender& sender : *senders) sender.step(medium, now);
+      if ((now / 100) % 2 == 1) drain_reader(medium, 0, now);
+    };
+  };
+}
+
+TEST(MediumSleep, StagedHeadBlockedOnReaderCredits) {
+  const std::vector<VcClassRange> classes = {{0, 2}};
+  const std::int64_t evals = expect_sleep_parity(
+      sleep_params(4, ArbitrationKind::kTokenRing), classes, 400,
+      credit_starved_readers());
+  EXPECT_LT(evals, 300);
+}
+
+TEST(MediumSleep, IdealArbitrationWithEveryReaderVcOutOfCredits) {
+  const std::vector<VcClassRange> classes = {{0, 2}};
+  const std::int64_t evals = expect_sleep_parity(
+      sleep_params(4, ArbitrationKind::kIdeal), classes, 400,
+      credit_starved_readers());
+  EXPECT_LT(evals, 300);
+}
+
+TEST(MediumSleep, SwmrTransmissionWaitsForItsSerializationSlot) {
+  // Wireless SWMR: two writers, two listening readers, eight cycles per
+  // flit. Between launches the medium sleeps until the next slot.
+  const std::vector<VcClassRange> classes = {{0, 2}};
+  auto params = sleep_params(2, ArbitrationKind::kTokenRing);
+  params.medium = MediumType::kWireless;
+  params.num_readers = 2;
+  params.multicast_rx = true;
+  params.cycles_per_flit = 8;
+  params.buffer_depth = 8;
+  params.select_reader = [](NodeId dst, RouterId) { return dst % 2; };
+  const std::int64_t evals = expect_sleep_parity(
+      params, classes, 400, [] {
+        auto senders = std::make_shared<std::vector<Sender>>(
+            std::vector<Sender>{{0, 4, 0}, {1, 4, 1}});
+        return [senders](SharedMedium& medium, Cycle now) {
+          for (Sender& sender : *senders) sender.step(medium, now);
+          drain_reader(medium, 0, now);
+          drain_reader(medium, 1, now);
+        };
+      });
+  EXPECT_LT(evals, 150);
+}
+
+/// One single-flit packet per (cycle, writer) entry, staged at that cycle;
+/// the reader drains as it goes.
+ScriptFactory lone_packets(std::vector<std::pair<Cycle, int>> stagings) {
+  return [stagings] {
+    return [stagings](SharedMedium& medium, Cycle now) {
+      for (const auto& [at, w] : stagings) {
+        if (at != now) continue;
+        OutputEndpoint* endpoint = medium.writer(w);
+        const VcId lane = endpoint->alloc_vc(0, now);
+        ASSERT_NE(lane, kInvalidId);
+        endpoint->accept(make_flit(static_cast<PacketId>(at), true, true, lane),
+                         now);
+      }
+      drain_reader(medium, 0, now);
+    };
+  };
+}
+
+TEST(MediumSleep, LoneWriterTenTokenPositionsAway) {
+  // Sixteen writers: the head staged at cycle 0 on writer 11 becomes visible
+  // with the token at writer 1, ten positions short. The medium sleeps until
+  // the token reaches it, counting every skipped cycle as a token wait.
+  const std::vector<VcClassRange> classes = {{0, 2}};
+  const std::int64_t evals = expect_sleep_parity(
+      sleep_params(16, ArbitrationKind::kTokenRing), classes, 200,
+      lone_packets({{0, 11}, {50, 3}, {53, 9}, {120, 2}}));
+  EXPECT_LT(evals, 60);
+}
+
+TEST(MediumSleep, TokenLostWhileAsleep) {
+  // The token is lost (campaign-style: after the medium's eval, with a wake
+  // for the next cycle) while the medium sleeps toward writer 11, and is
+  // regenerated at writer 0 thirty cycles later; a second loss hits a medium
+  // with nothing staged.
+  const std::vector<VcClassRange> classes = {{0, 2}};
+  expect_sleep_parity(
+      sleep_params(16, ArbitrationKind::kTokenRing), classes, 250,
+      lone_packets({{0, 11}, {100, 6}}), [] {
+        return [](SharedMedium& medium, Cycle now) {
+          if (now == 4 || now == 150) {
+            medium.lose_token(now, now + 30);
+            medium.request_wake(now + 1);
+          }
+        };
+      });
 }
 
 }  // namespace
