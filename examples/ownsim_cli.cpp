@@ -12,8 +12,7 @@
 //
 // The CLI is a thin client of the shared config -> run -> report path
 // (driver/experiment_config.hpp + run_experiment): the same key=value
-// vocabulary submitted to the ownsim_serve daemon means the same experiment
-// here.
+// vocabulary in a config file (`file=`) means the same experiment here.
 #include <fstream>
 #include <iostream>
 #include <memory>

@@ -1,8 +1,8 @@
 // Canonical number formatting for byte-stable serialization.
 //
-// Everything that feeds a cache key or a byte-compared artifact (canonical
-// config JSON, the stored result payload) formats floating-point values
-// through here: std::to_chars shortest round-trip form, which is fully
+// Everything that feeds a hash or a byte-compared artifact (canonical
+// config JSON, the result JSON) formats floating-point values through
+// here: std::to_chars shortest round-trip form, which is fully
 // specified by the standard — the same double produces the same bytes on
 // every conforming platform, and parsing the bytes back recovers the exact
 // double. iostream formatting (locale- and precision-dependent) must not be

@@ -1,8 +1,8 @@
-// SHA-256 (FIPS 180-4), self-contained — the content-address of the result
-// cache (serve/result_store) and the experiment cache key are both SHA-256
-// digests, so cache exactness rests on a collision-resistant hash rather
-// than a 64-bit mixer. No external crypto dependency: ~100 lines, byte-exact
-// on any platform.
+// SHA-256 (FIPS 180-4), self-contained — the benchmark's golden result
+// digests, the tests' byte pins and the canonical config's file-topology
+// hash are all SHA-256 digests, so "same bytes" rests on a
+// collision-resistant hash rather than a 64-bit mixer. No external crypto
+// dependency: ~100 lines, byte-exact on any platform.
 #pragma once
 
 #include <array>

@@ -4,10 +4,11 @@
 // a field marked OWNSIM_GUARDED_BY(mu_) may only be touched while `mu_` is
 // held, a function marked OWNSIM_REQUIRES(mu_) may only be called with `mu_`
 // held, and every acquire must be matched by a release on all paths. The
-// repo's concurrent subsystems (exec pool, metrics sweeps, the serve daemon,
-// the Log sink) carry these annotations, and the clang CI legs compile with
-// `-Wthread-safety -Wthread-safety-beta` escalated to errors — a lock
-// violation is a build break, not a latent race (DESIGN.md §5h).
+// repo's concurrent subsystems (exec pool, metrics sweeps, the trace writer,
+// shared media, the Log sink) carry these annotations, and the clang CI
+// legs compile with `-Wthread-safety -Wthread-safety-beta` escalated to
+// errors — a lock violation is a build break, not a latent race (DESIGN.md
+// §5h).
 //
 // GCC (the default local toolchain) does not implement the analysis; the
 // macros expand to nothing there and the wrappers cost exactly what

@@ -1,6 +1,7 @@
 #include "driver/experiment_config.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <concepts>
 #include <initializer_list>
 #include <stdexcept>
@@ -14,14 +15,6 @@ namespace ownsim {
 namespace {
 
 using serve::Json;
-
-/// Bump on any change to simulated results or the stored payload layout.
-constexpr char kCodeVersionTag[] = "ownsim-2026.08-serve3";
-
-/// Canonical keys of file topologies, written and read outside the field
-/// table: the body's hash stands in for `options.topofile_text`.
-constexpr char kTopofileShaKey[] = "topofile.sha256";
-constexpr char kTopofileGeneratorKey[] = "topofile.generator";
 
 /// key=value names parsed by hand in parse_experiment_config: each sets
 /// members the field table cannot express one-to-one.
@@ -51,9 +44,6 @@ E enum_from_name(const std::string& name, std::initializer_list<E> values) {
   throw std::invalid_argument("bad value '" + name + "' (want " + want + ")");
 }
 
-void from_name(const std::string& name, TopologyKind& kind) {
-  kind = parse_topology(name);
-}
 void from_name(const std::string& name, PatternKind& kind) {
   kind = parse_pattern(name);
 }
@@ -64,10 +54,6 @@ void from_name(const std::string& name, KernelMode& mode) {
   mode = enum_from_name(name, {KernelMode::kActivity, KernelMode::kLockstep,
                                KernelMode::kParallel});
 }
-void from_name(const std::string& name, fault::EventKind& kind) {
-  kind = enum_from_name(name, {fault::EventKind::kFlap, fault::EventKind::kKill,
-                               fault::EventKind::kTokenLoss});
-}
 
 OwnConfig own_config_from_row(std::int64_t row) {
   if (row < 1 || row > 4) {
@@ -77,7 +63,6 @@ OwnConfig own_config_from_row(std::int64_t row) {
 }
 
 Json to_json(const std::vector<fault::Event>& events);
-void from_json(const Json& json, std::vector<fault::Event>& events);
 
 template <typename T>
 Json to_json(const T& value) {
@@ -92,23 +77,6 @@ Json to_json(const T& value) {
     return Json(static_cast<int>(value));
   } else {
     return Json(to_string(value));
-  }
-}
-
-template <typename T>
-void from_json(const Json& json, T& value) {
-  if constexpr (std::is_same_v<T, bool>) {
-    value = json.as_bool();
-  } else if constexpr (std::is_floating_point_v<T>) {
-    value = json.as_double();
-  } else if constexpr (std::is_integral_v<T>) {
-    value = static_cast<T>(json.as_int());
-  } else if constexpr (std::is_same_v<T, Decibels>) {
-    value = Decibels{json.as_double()};
-  } else if constexpr (std::is_same_v<T, OwnConfig>) {
-    value = own_config_from_row(json.as_int());
-  } else {
-    from_name(json.as_string(), value);
   }
 }
 
@@ -134,7 +102,7 @@ void read_kv(const Config& args, const std::string& key, T& value) {
 // Each line declares one field: its canonical JSON key, its key=value name,
 // and the member it reads and writes. `nullptr` means "none" on that side:
 // no key=value name for programmatic-only fields, no JSON key for the
-// result-neutral kernel knobs (DESIGN.md §5g). Being its own type
+// result-neutral kernel knobs (DESIGN.md §5e/§5i). Being its own type
 // (std::nullptr_t), it keeps that side's codec from being instantiated.
 
 template <typename E, typename Field>
@@ -257,25 +225,6 @@ Json fields_to_json(const T& object) {
   return Json(std::move(o));
 }
 
-/// Reads every table field present in `object`; a key left over is not in
-/// the table and throws (schema drift must not be silently dropped — the
-/// string is a cache-key input).
-template <typename T>
-void fields_from_json(Json::Object object, T& out, const std::string& what) {
-  visit_fields(out, [&object](auto key, auto, auto& member) {
-    if constexpr (kNamed<decltype(key)>) {
-      const auto it = object.find(key);
-      if (it == object.end()) return;
-      from_json(it->second, member);
-      object.erase(it);
-    }
-  });
-  if (!object.empty()) {
-    throw std::invalid_argument("canonical config: unknown " + what +
-                                "key: " + object.begin()->first);
-  }
-}
-
 Json to_json(const std::vector<fault::Event>& events) {
   Json::Array array;
   array.reserve(events.size());
@@ -283,14 +232,6 @@ Json to_json(const std::vector<fault::Event>& events) {
     array.push_back(fields_to_json(event));
   }
   return Json(std::move(array));
-}
-
-void from_json(const Json& json, std::vector<fault::Event>& events) {
-  for (const Json& item : json.as_array()) {
-    fault::Event event;
-    fields_from_json(item.as_object(), event, "event ");
-    events.push_back(event);
-  }
 }
 
 /// Parses "src:dst@cycle" (OWN-256 cluster pair, rerouted online) or
@@ -363,9 +304,9 @@ ExperimentConfig parse_experiment_config(
   config.phases = RunPhases{1500, 4000, 30000};
   const std::string topology = args.get_string("topology", "own");
   if (topology.rfind("file:", 0) == 0) {
-    // topology=file:PATH — load the file body NOW so the cache key, the
-    // deadlock check and the simulated network all come from the same
-    // bytes (a later mutation of the file cannot alias a cached result).
+    // topology=file:PATH — load the file body NOW so the canonical JSON,
+    // the deadlock check and the simulated network all come from the same
+    // bytes.
     config.topology = TopologyKind::kFile;
     config.options.topofile_path = topology.substr(5);
     config.options.topofile_text =
@@ -398,6 +339,22 @@ ExperimentConfig parse_experiment_config(
   if (config.partitions < 0) {
     throw std::invalid_argument("partitions: want >= 0");
   }
+  if (config.phases.measure <= 0) {
+    throw std::invalid_argument("measure: want > 0");
+  }
+  if (config.phases.warmup < 0) {
+    throw std::invalid_argument("warmup: want >= 0");
+  }
+  if (config.phases.drain_limit < 0) {
+    throw std::invalid_argument("drain: want >= 0");
+  }
+  if (!std::isfinite(config.options.clock_ghz) ||
+      config.options.clock_ghz <= 0.0) {
+    throw std::invalid_argument("clock_ghz: want a finite value > 0");
+  }
+  if (config.options.flit_bits <= 0) {
+    throw std::invalid_argument("flit_bits: want > 0");
+  }
   if (args.contains("fault_kill")) {
     config.fault.events.push_back(
         parse_kill(args.require_string("fault_kill")));
@@ -415,63 +372,17 @@ ExperimentConfig parse_experiment_config(
 std::string canonical_config_json(const ExperimentConfig& config) {
   Json json = fields_to_json(config);
   if (config.topology == TopologyKind::kFile) {
-    // The cache key must cover the file *content* (not its path — the same
-    // file moved must hit, the same path mutated must miss) and the
-    // generator version (regenerated routes re-key unchanged bytes).
-    std::string sha = config.topofile_sha256;
-    if (sha.empty()) {
-      if (config.options.topofile_text.empty()) {
-        throw std::logic_error(
-            "canonical config: file topology without loaded text or sha256");
-      }
-      sha = sha256_hex(config.options.topofile_text);
+    // Cover the file *content*, not its path (the same file moved is the
+    // same experiment, the same path edited is not), and the generator
+    // version (regenerated routes change results for unchanged bytes).
+    if (config.options.topofile_text.empty()) {
+      throw std::logic_error(
+          "canonical config: file topology without loaded text");
     }
-    json[kTopofileShaKey] = Json(std::move(sha));
-    json[kTopofileGeneratorKey] = Json(topofile::kTopofileGeneratorVersion);
+    json["topofile.sha256"] = Json(sha256_hex(config.options.topofile_text));
+    json["topofile.generator"] = Json(topofile::kTopofileGeneratorVersion);
   }
   return json.dump();
-}
-
-ExperimentConfig experiment_config_from_canonical_json(std::string_view json) {
-  Json parsed = Json::parse(json);
-  Json::Object& object = parsed.as_object();
-  ExperimentConfig config;
-  if (const auto it = object.find(kTopofileGeneratorKey); it != object.end()) {
-    if (it->second.as_string() != topofile::kTopofileGeneratorVersion) {
-      throw std::invalid_argument(
-          "canonical config: topology file was keyed by generator '" +
-          it->second.as_string() + "', this build is '" +
-          topofile::kTopofileGeneratorVersion + "'");
-    }
-    object.erase(it);
-  }
-  if (const auto it = object.find(kTopofileShaKey); it != object.end()) {
-    // The file body itself is not in the canonical JSON; carry its hash so
-    // re-keying the reconstructed config reproduces the original key.
-    config.topofile_sha256 = it->second.as_string();
-    object.erase(it);
-  }
-  fields_from_json(std::move(object), config, "");
-  return config;
-}
-
-std::string code_version() {
-  std::string version = kCodeVersionTag;
-#if OWNSIM_OBS_ENABLED
-  version += "+obs";
-#else
-  version += "+noobs";
-#endif
-  return version;
-}
-
-std::string experiment_cache_key(const ExperimentConfig& config,
-                                 std::string_view version) {
-  Sha256 hasher;
-  hasher.update(canonical_config_json(config));
-  hasher.update("\n");
-  hasher.update(version.empty() ? code_version() : std::string(version));
-  return hasher.hex_digest();
 }
 
 }  // namespace ownsim

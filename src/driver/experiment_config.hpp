@@ -1,31 +1,27 @@
 // ExperimentConfig ingestion and canonicalization — the one config -> run ->
-// report path shared by ownsim_cli and the ownsim_serve daemon.
+// report path of ownsim_cli, config files and the benchmark harness.
 //
 // Two representations of an experiment point live here:
 //
-//   * Flat key=value settings (`Config`), the CLI / config-file / daemon
-//     request vocabulary: `parse_experiment_config` turns them into an
-//     ExperimentConfig with full validation. The CLI and the daemon both
-//     call it, so a config line means the same thing submitted over the
-//     socket as typed on the command line.
+//   * Flat key=value settings (`Config`), the CLI / config-file vocabulary:
+//     `parse_experiment_config` turns them into an ExperimentConfig with
+//     full validation.
 //
 //   * Canonical JSON (`canonical_config_json`): a byte-stable, full-fidelity
 //     dump of every field that can influence a simulated result — sorted
-//     keys, shortest-round-trip number forms (common/numfmt). This is the
-//     cache-key input of the serve result store: two configs hash equal iff
-//     their canonical JSON is byte-equal. Deliberately EXCLUDED from the
-//     canonical form (DESIGN.md §5g):
+//     keys, shortest-round-trip number forms (common/numfmt). Two configs
+//     describe the same experiment iff their canonical JSON is byte-equal.
+//     Deliberately EXCLUDED from the canonical form:
 //       - `kernel` (and the parallel-kernel `threads`/`partitions` knobs):
 //         activity, lockstep and parallel are bit-identical by contract
-//         (§5e/§5i, enforced by bench_kernel and the pdes-parity CI job),
-//         so all kernels — at any thread/partition count — share one cache
-//         entry;
+//         (DESIGN.md §5e/§5i, enforced by bench_kernel and the pdes-parity
+//         CI job), so every kernel at any thread/partition count yields
+//         the same JSON;
 //       - `injector.rate`: always overridden by the top-level `rate`;
 //       - `fault.diagnostics`: an output stream, not configuration.
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/config.hpp"
@@ -39,7 +35,8 @@ namespace ownsim {
 /// JSON. A key that is neither an experiment key nor one of `caller_keys`
 /// (the caller's own vocabulary, e.g. the CLI's `report`) throws
 /// std::invalid_argument naming it; malformed values throw
-/// std::invalid_argument / std::runtime_error.
+/// std::invalid_argument / std::runtime_error, and out-of-range ones (e.g.
+/// measure=0, clock_ghz=0) std::invalid_argument naming the key.
 ExperimentConfig parse_experiment_config(
     const Config& args, const std::vector<std::string>& caller_keys = {});
 
@@ -48,26 +45,8 @@ const std::vector<std::string>& experiment_config_keys();
 
 /// Canonical JSON of `config` (see file comment): sorted keys, numfmt
 /// number forms. Serializing the same config always yields the same bytes.
+/// A file topology is written as the SHA-256 of `options.topofile_text`
+/// (std::logic_error when the text was never loaded).
 std::string canonical_config_json(const ExperimentConfig& config);
-
-/// Inverse of `canonical_config_json`. Unknown keys throw (schema drift must
-/// not be silently dropped — the string is a cache-key input). Fields the
-/// canonical form excludes (kernel, threads, partitions, injector.rate) come
-/// back default.
-ExperimentConfig experiment_config_from_canonical_json(std::string_view json);
-
-/// Version tag of the simulated-result-producing code. Bump the suffix
-/// whenever a change alters any simulated result or the byte layout of the
-/// stored result payload — cache exactness (hash(config, seed, version) ->
-/// one result) holds only while this names the code that wrote the bytes.
-/// The returned string also encodes whether obs counters are compiled in,
-/// since the payload embeds the counter snapshot.
-std::string code_version();
-
-/// Content address of one experiment point: SHA-256 over the canonical
-/// config JSON and `version` (defaults to `code_version()`). The seed is
-/// part of the config, so it is part of the key.
-std::string experiment_cache_key(const ExperimentConfig& config,
-                                 std::string_view version = {});
 
 }  // namespace ownsim

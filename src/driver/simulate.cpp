@@ -82,13 +82,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
 
   std::unique_ptr<fault::FaultCampaign> campaign =
       make_campaign(network, config);
-  exec::CancellationToken token = hooks.cancel;
+  exec::CancellationToken token;
   if (campaign != nullptr) {
     campaign->attach();
-    if (campaign->watchdog() != nullptr) {
-      token = exec::CancellationToken::any_of(
-          {hooks.cancel, campaign->watchdog()->token()});
-    }
+    if (campaign->watchdog() != nullptr) token = campaign->watchdog()->token();
   }
   // The adaptation controller registers after the campaign (and after every
   // network component): both mutate the network at cycle boundaries, and a

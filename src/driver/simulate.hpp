@@ -59,11 +59,6 @@ struct ExperimentConfig {
   /// Enabling it on OWN-256 also builds the campaign-capable topology so the
   /// controller's wireless re-allocation can patch routes online.
   adapt::AdaptConfig adapt;
-
-  /// File topologies only: SHA-256 of the file body, carried so a config
-  /// reconstructed from canonical JSON (options.topofile_text unavailable)
-  /// still produces the same cache key as the original parse.
-  std::string topofile_sha256;
 };
 
 struct ExperimentResult {
@@ -77,20 +72,15 @@ struct ExperimentResult {
 
   /// Snapshot of the network's obs counter registry after the run
   /// (name-sorted; empty when OWNSIM_OBS=OFF). Counters are simulated
-  /// quantities — part of the deterministic result, cached with it.
+  /// quantities — part of the deterministic result.
   std::vector<std::pair<std::string, std::int64_t>> counters;
 };
 
-/// Optional instrumentation around `run_experiment` — everything the serve
-/// daemon (and the CLI's reporting modes) need from the run without owning
-/// the Network themselves. All members may be empty; none of them may
-/// change the simulated result (the progress/report hooks are read-only by
-/// contract, and cancellation only truncates).
+/// Optional instrumentation around `run_experiment` — everything the CLI's
+/// reporting modes and the benchmark harness need from the run without
+/// owning the Network themselves. All members may be empty; none of them
+/// may change the simulated result (the hooks are read-only by contract).
 struct RunHooks {
-  /// External cancel (merged with the watchdog's token when a campaign
-  /// arms one): the run returns early with `run.cancelled = true`.
-  exec::CancellationToken cancel;
-
   /// Streamed between simulation slices (see metrics/runner.hpp).
   RunProgressFn progress;
 
@@ -126,16 +116,16 @@ std::unique_ptr<fault::FaultCampaign> make_campaign(
 /// Runs one load point end to end (build, warm, measure, drain, aggregate).
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
-/// As above, with instrumentation hooks (progress, external cancel, pre/post
-/// network access). `run_experiment(config)` is `run_experiment(config, {})`.
+/// As above, with instrumentation hooks (progress, pre/post network
+/// access). `run_experiment(config)` is `run_experiment(config, {})`.
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 const RunHooks& hooks);
 
 /// Canonical, byte-stable JSON of the deterministic experiment result:
 /// sorted keys, shortest-round-trip number forms (common/numfmt), wall-clock
-/// profile EXCLUDED. This is the payload the serve result cache stores; a
-/// cache hit is byte-identical to a fresh run because every field serialized
-/// here is covered by the determinism contract (DESIGN.md §5g).
+/// profile EXCLUDED. Every field serialized here is covered by the
+/// determinism contract, so its SHA-256 pins a result: the benchmark's
+/// golden digests and the byte pins in the tests hash it.
 std::string experiment_result_json(const ExperimentResult& result);
 
 }  // namespace ownsim

@@ -7,10 +7,8 @@
 #pragma once
 
 #include <atomic>
-#include <initializer_list>
 #include <memory>
 #include <utility>
-#include <vector>
 
 namespace ownsim::exec {
 
@@ -22,33 +20,15 @@ class CancellationToken {
   CancellationToken() = default;
 
   bool cancelled() const {
-    for (const auto& flag : flags_) {
-      if (flag->load(std::memory_order_acquire)) return true;
-    }
-    return false;
-  }
-
-  /// Token cancelled when ANY of `tokens` is (e.g. a job's own cancel source
-  /// combined with its watchdog's). Never-cancellable inputs contribute
-  /// nothing, so `any_of(token, {})` behaves exactly like `token`.
-  static CancellationToken any_of(
-      std::initializer_list<CancellationToken> tokens) {
-    CancellationToken combined;
-    for (const CancellationToken& token : tokens) {
-      for (const auto& flag : token.flags_) combined.flags_.push_back(flag);
-    }
-    return combined;
+    return flag_ != nullptr && flag_->load(std::memory_order_acquire);
   }
 
  private:
   friend class CancellationSource;
-  explicit CancellationToken(std::shared_ptr<const std::atomic<bool>> flag) {
-    flags_.push_back(std::move(flag));
-  }
+  explicit CancellationToken(std::shared_ptr<const std::atomic<bool>> flag)
+      : flag_(std::move(flag)) {}
 
-  // Empty: never cancelled (the cheap default). Usually holds one flag; the
-  // `any_of` combinator concatenates.
-  std::vector<std::shared_ptr<const std::atomic<bool>>> flags_;
+  std::shared_ptr<const std::atomic<bool>> flag_;  ///< null: never cancelled
 };
 
 class CancellationSource {

@@ -88,8 +88,8 @@ void write_run_profile_json(std::ostream& os, const RunResult& result);
 /// keys, shortest-round-trip number forms via serve::Json), the latency
 /// histogram as sparse nonzero bins — and NOT the wall-clock `profile`.
 /// Exactly the fields `deterministic_eq` compares, so the bytes are stable
-/// across reruns, thread counts, kernels, and tracing. Feeds the serve result
-/// cache payload (driver/simulate: experiment_result_json).
+/// across reruns, thread counts, kernels, and tracing. Feeds the hashed
+/// result payload (driver/simulate: experiment_result_json).
 serve::Json run_result_canonical_json(const RunResult& result);
 
 /// Appends `run_result_canonical_json(result)`, dumped, to `out`.

@@ -1,9 +1,8 @@
-// Minimal JSON value, parser, and canonical writer for the serve protocol.
-//
-// The daemon speaks newline-delimited JSON over a local socket (DESIGN.md
-// §5g); this is the framing layer — no external dependency, just the subset
-// of JSON the protocol needs: null, bool, 64-bit integers, doubles, strings,
-// arrays, objects. Two properties matter beyond "parses JSON":
+// Minimal JSON value, parser, and canonical writer — used by the topology
+// file loader, the canonical config and result JSON, the reports, obs and
+// the benchmark harness. No external dependency, just the subset of JSON
+// those need: null, bool, 64-bit integers, doubles, strings, arrays,
+// objects. Two properties matter beyond "parses JSON":
 //
 //   * Objects keep their keys in a std::map, so `dump()` is canonical —
 //     sorted keys, shortest round-trip number forms (common/numfmt) — and

@@ -1,6 +1,7 @@
 #include "topofile/topofile.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -19,12 +20,19 @@ using serve::Json;
 
 constexpr int kFormatVersion = 1;
 
+/// Largest node count, and largest summed router count, a file may declare:
+/// 4x the nodes and 16x the routers of the largest built-in (OWN-1024: 1,024
+/// nodes, 256 routers). The route table is routers x routers, so without a
+/// bound a 200-byte file can ask for more memory than the machine has.
+constexpr std::int64_t kMaxCount = 4096;
+
 [[noreturn]] void fail(const std::string& message) {
   throw std::invalid_argument("topofile: " + message);
 }
 
-/// Rejects keys outside `allowed` (strict schema: a topology file is a
-/// cache-key input, so silent key drops would alias distinct topologies).
+/// Rejects keys outside `allowed` (strict schema: a topology file is hashed
+/// into the canonical config JSON, so silent key drops would alias distinct
+/// topologies).
 void check_keys(const Json::Object& object, const char* where,
                 const std::set<std::string>& allowed) {
   for (const auto& [key, value] : object) {
@@ -51,6 +59,17 @@ int require_int(const Json::Object& object, const char* where,
 int optional_int(const Json::Object& object, const char* key, int fallback) {
   const auto it = object.find(key);
   return it == object.end() ? fallback : static_cast<int>(it->second.as_int());
+}
+
+/// The top-level "nodes", range-checked before anything is sized by it.
+int require_nodes(const Json::Object& root) {
+  const std::int64_t nodes = require(root, "top level", "nodes").as_int();
+  if (nodes < 1) fail("nodes: want >= 1");
+  if (nodes > kMaxCount) {
+    fail("nodes: " + std::to_string(nodes) + " exceeds the limit of " +
+         std::to_string(kMaxCount));
+  }
+  return static_cast<int>(nodes);
 }
 
 std::string optional_string(const Json::Object& object, const char* key) {
@@ -263,7 +282,7 @@ TopofileInfo probe_topofile(const std::string& text) {
   const Json::Object root = parse_root(text);
   TopofileInfo info;
   info.name = require(root, "top level", "name").as_string();
-  info.num_nodes = require_int(root, "top level", "nodes");
+  info.num_nodes = require_nodes(root);
   info.emulates = optional_string(root, "emulates");
   return info;
 }
@@ -287,8 +306,7 @@ NetworkSpec load_topofile(const std::string& text,
 
   NetworkSpec spec;
   spec.name = require(root, "top level", "name").as_string();
-  spec.num_nodes = require_int(root, "top level", "nodes");
-  if (spec.num_nodes < 1) fail("nodes: want >= 1");
+  spec.num_nodes = require_nodes(root);
   if (spec.num_nodes != options.num_cores) {
     fail("file describes " + std::to_string(spec.num_nodes) +
          " nodes but the run requests " + std::to_string(options.num_cores) +
@@ -309,15 +327,21 @@ NetworkSpec load_topofile(const std::string& text,
   }
 
   // Routers: run-length groups of identical port shapes.
+  std::int64_t total_routers = 0;
   for (const Json& group : require(root, "top level", "routers").as_array()) {
     const Json::Object& g = group.as_object();
     check_keys(g, "routers[]", {"count", "in", "out"});
-    const int count = require_int(g, "routers[]", "count");
+    const std::int64_t count = require(g, "routers[]", "count").as_int();
     const int num_in = require_int(g, "routers[]", "in");
     const int num_out = require_int(g, "routers[]", "out");
     if (count < 1 || num_in < 0 || num_out < 0) {
       fail("routers[]: bad count/in/out");
     }
+    if (count > kMaxCount - total_routers) {
+      fail("routers: more than the limit of " + std::to_string(kMaxCount) +
+           " routers");
+    }
+    total_routers += count;
     spec.routers.insert(spec.routers.end(), static_cast<std::size_t>(count),
                         {num_in, num_out});
   }

@@ -10,9 +10,10 @@
 // operating points; `"cpf": "bisection"` defers a channel's serialization
 // to the equal-bisection rule (topology/bisection.*).
 //
-// Loading is strict (unknown keys are errors — a topology file is a
-// cache-key input) and every loaded spec passes spec.validate() plus the
-// channel-dependency deadlock check before it reaches a kernel.
+// Loading is strict (unknown keys are errors — a topology file is hashed
+// into the canonical config JSON), sizes are bounded, and every loaded spec
+// passes spec.validate() plus the channel-dependency deadlock check before
+// it reaches a kernel.
 #pragma once
 
 #include <map>
@@ -24,9 +25,9 @@
 
 namespace ownsim::topofile {
 
-/// Version tag of the route generator + loader semantics. Part of the serve
-/// cache key for file topologies: a generator change re-keys every cached
-/// file-topology result even when the file bytes did not change.
+/// Version tag of the route generator + loader semantics. Part of the
+/// canonical config JSON of file topologies: a generator change changes
+/// the JSON even when the file bytes did not change.
 inline constexpr char kTopofileGeneratorVersion[] = "topogen-1";
 
 /// Parses `text` and builds the full NetworkSpec: structure from the file,

@@ -36,8 +36,8 @@ struct TopologyOptions {
 
   /// File topology (topology=file:PATH) only. `topofile_text` is the file
   /// body; when empty the builder reads `topofile_path`. The driver loads
-  /// the text at config-parse time so the serve cache key and the simulated
-  /// network always come from the same bytes.
+  /// the text at config-parse time so the canonical config JSON and the
+  /// simulated network always come from the same bytes.
   std::string topofile_path;
   std::string topofile_text;
 };

@@ -1,7 +1,7 @@
 // Topology-file frontend (src/topofile/): exporter round-trips, generated
 // routing equivalence against the hand-built tables, the deadlock checker
 // on both the built-in topologies and deliberately cyclic files, the parser
-// rejection corpus, and the content-addressed serve cache key.
+// rejection corpus, and the content-hashed canonical config JSON.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -386,10 +386,24 @@ TEST(TopofileParser, RejectionCorpus) {
                      "name": "wg"}],
           "routing": {"mode": "generated"}})",
       "exactly one reader");
+  // Oversized files are refused by name before anything is sized by them
+  // (the route table is routers x routers).
+  expect_rejected(
+      R"({"topofile": 1, "name": "t", "nodes": 200000, "concentration": 1,
+          "routers": [{"count": 200000, "in": 1, "out": 1}],
+          "routing": {"mode": "generated"}})",
+      "nodes: 200000 exceeds the limit of 4096", /*cores=*/200000);
+  expect_rejected(
+      R"({"topofile": 1, "name": "t", "nodes": 2, "concentration": 1,
+          "routers": [{"count": 4000, "in": 1, "out": 1},
+                      {"count": 4000, "in": 1, "out": 1}],
+          "routing": {"mode": "generated"}})",
+      "more than the limit of 4096 routers");
 }
 
 // ---------------------------------------------------------------------------
-// Serve cache key: content-addressed, path-independent, generator-versioned.
+// Canonical config JSON: content-addressed, path-independent,
+// generator-versioned.
 
 TEST(TopofileCacheKey, HashesContentNotPath) {
   const TopologyOptions options = options_for(256);
@@ -401,44 +415,30 @@ TEST(TopofileCacheKey, HashesContentNotPath) {
   a.options.num_cores = 256;
   a.options.topofile_path = "/some/where/own256.topo.json";
   a.options.topofile_text = text;
+  const std::string canonical = canonical_config_json(a);
+  EXPECT_NE(canonical.find("\"topofile.sha256\""), std::string::npos);
+  EXPECT_NE(canonical.find("\"topofile.generator\""), std::string::npos);
 
   ExperimentConfig b = a;
   b.options.topofile_path = "/else/where/copy.topo.json";
-  // Same bytes, different path: same key (a moved file must still hit).
-  EXPECT_EQ(experiment_cache_key(a), experiment_cache_key(b));
+  // Same bytes, different path: the same experiment.
+  EXPECT_EQ(canonical_config_json(b), canonical);
 
-  // Mutated bytes, same path: different key (no stale hits, the PR-9 bug).
+  // Mutated bytes, same path: a different experiment.
   ExperimentConfig c = a;
   c.options.topofile_text.insert(c.options.topofile_text.find("own-256"),
                                  "x");
-  EXPECT_NE(experiment_cache_key(a), experiment_cache_key(c));
+  EXPECT_NE(canonical_config_json(c), canonical);
+
+  // A file topology whose text was never loaded has no canonical form.
+  ExperimentConfig unloaded = a;
+  unloaded.options.topofile_text.clear();
+  EXPECT_THROW(canonical_config_json(unloaded), std::logic_error);
 
   // Non-file configs do not carry topofile keys at all.
   ExperimentConfig plain;
   plain.topology = TopologyKind::kOwn;
   EXPECT_EQ(canonical_config_json(plain).find("topofile"), std::string::npos);
-}
-
-TEST(TopofileCacheKey, CanonicalJsonRoundTripsViaSha) {
-  const TopologyOptions options = options_for(256);
-  ExperimentConfig config;
-  config.topology = TopologyKind::kFile;
-  config.options.num_cores = 256;
-  config.options.topofile_text = topofile::export_topofile(
-      build_topology(TopologyKind::kOwn, options), options, own_policy());
-
-  const std::string canonical = canonical_config_json(config);
-  EXPECT_NE(canonical.find("\"topofile.sha256\""), std::string::npos);
-  EXPECT_NE(canonical.find("\"topofile.generator\""), std::string::npos);
-
-  // The reconstructed config has no file text, only the carried hash — and
-  // must still re-serialize (and therefore re-key) identically.
-  const ExperimentConfig reloaded =
-      experiment_config_from_canonical_json(canonical);
-  EXPECT_TRUE(reloaded.options.topofile_text.empty());
-  EXPECT_FALSE(reloaded.topofile_sha256.empty());
-  EXPECT_EQ(canonical_config_json(reloaded), canonical);
-  EXPECT_EQ(experiment_cache_key(reloaded), experiment_cache_key(config));
 }
 
 TEST(TopofileReports, OddLinkNamesStayValidJson) {

@@ -12,14 +12,13 @@ lint fails if first-party code reintroduces a nondeterministic source:
   * wall clocks:       std::chrono system_clock / high_resolution_clock
 
 The absolute bans above apply to every scanned tree (src, tests, bench,
-examples). Three further rules are path-scoped, with their scopes and
+examples). Two further rules are path-scoped, with their scopes and
 exemptions declared in the SCOPED_RULES table below: steady_clock is
-telemetry-only (src/exec, src/metrics, src/serve), system_clock is
-serve-daemon-only (protocol timestamps that never enter a simulated
-result), and literal Rng seeds are banned not just in src/ but also in the
-shipped drivers under bench/ and examples/ — a benchmark that pins a seed
-literal correlates its streams exactly like library code would. Unit tests
-keep the right to pin seeds on purpose.
+telemetry-only (src/exec, src/metrics), and literal Rng seeds are banned
+not just in src/ but also in the shipped drivers under bench/ and
+examples/ — a benchmark that pins a seed literal correlates its streams
+exactly like library code would. Unit tests keep the right to pin seeds on
+purpose.
 
 Run:  python3 tools/lint_determinism.py        (from the repo root)
 Exit: 0 clean, 1 violations found.
@@ -50,8 +49,8 @@ FORBIDDEN: list[tuple[re.Pattern[str], str]] = [
                 r"minstd_rand0?|ranlux\w+|knuth_b)\b"),
      "std <random> engines are not part of the seed-derivation scheme; "
      "use ownsim::Rng"),
-    (re.compile(r"\bstd::chrono::high_resolution_clock\b"),
-     "high_resolution_clock is nondeterministic; steady_clock telemetry only"),
+    (re.compile(r"\bstd::chrono::(high_resolution_clock|system_clock)\b"),
+     "wall clocks are nondeterministic; steady_clock telemetry only"),
 ]
 
 # Path-scoped rules: the pattern is forbidden wherever `applies_to` matches
@@ -79,22 +78,10 @@ SCOPED_RULES: tuple[ScopedRule, ...] = (
     ScopedRule(
         pattern=re.compile(r"\bstd::chrono::steady_clock\b"),
         message="steady_clock is only allowed in telemetry code under "
-                "src/exec/, src/metrics/ or src/serve/ (and in the "
-                "harnesses under tests/, bench/, examples/ that time "
-                "themselves)",
+                "src/exec/ or src/metrics/ (and in the harnesses under "
+                "tests/, bench/, examples/ that time themselves)",
         applies_to=("src/",),
-        allowed=("src/exec/", "src/metrics/", "src/serve/"),
-    ),
-    # Wall-clock timestamps are allowed only in the serve daemon, where they
-    # annotate protocol events and never touch a simulated result (the
-    # result cache depends on results being a pure function of config +
-    # code version).
-    ScopedRule(
-        pattern=re.compile(r"\bstd::chrono::system_clock\b"),
-        message="system_clock is only allowed in the serve daemon "
-                "(src/serve/), for protocol timestamps",
-        applies_to=("src/", "tests/", "bench/", "examples/"),
-        allowed=("src/serve/", "tests/test_serve"),
+        allowed=("src/exec/", "src/metrics/"),
     ),
     # An Rng constructed from a literal would silently correlate streams;
     # first-party code AND the shipped drivers (bench/, examples/) must
