@@ -4,8 +4,10 @@
 //                config=4 scenario=ideal warmup=1500 measure=4000
 //                report=json seed=1 packet_flits=4   (one line in practice)
 //
-// Any subset of keys may be given (defaults shown above); `report=csv|json`
-// additionally dumps per-channel utilization to stdout after the summary.
+// Any subset of keys may be given (defaults shown above); `report=csv`
+// additionally dumps per-channel utilization to stdout after the summary,
+// and `report=json` replaces the summary with one JSON document (config,
+// result and network utilization; see experiment_report_json).
 // `sweep=r1:r2:...` switches to a latency sweep over those offered loads,
 // fanned across `threads` workers (also accepted as `--threads N`).
 // Run with `help=1` for the key list.
@@ -13,6 +15,7 @@
 // The CLI is a thin client of the shared config -> run -> report path
 // (driver/experiment_config.hpp + run_experiment): the same key=value
 // vocabulary in a config file (`file=`) means the same experiment here.
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -49,7 +52,10 @@ void print_help() {
       "             (parallel partitions one run across threads) [activity]\n"
       "  partitions parallel-kernel partition override, 0 = topology\n"
       "             hint (result-neutral)                       [0]\n"
-      "  report     none | csv | json (channel utilization)    [none]\n"
+      "  report     none | csv | json                          [none]\n"
+      "             csv: channel utilization after the summary;\n"
+      "             json: instead of the summary, one JSON document\n"
+      "             {config, network, result} at full precision\n"
       "  sweep      colon-separated rates (e.g. 0.002:0.004): run a\n"
       "             latency sweep instead of a single point\n"
       "             (seed becomes the sweep master seed)\n"
@@ -61,8 +67,10 @@ void print_help() {
       "             path (single-point mode; load in ui.perfetto.dev;\n"
       "             --trace-out PATH also accepted)\n"
       "  counters   1: dump the obs counter registry as JSON after the\n"
-      "             summary (single-point mode)  [0]\n"
-      "  profile    1: print the run's wall-clock self-profile  [0]\n"
+      "             summary (single-point mode; report=json always\n"
+      "             carries them in its result)  [0]\n"
+      "  profile    1: print the run's wall-clock self-profile (to\n"
+      "             stderr under report=json)  [0]\n"
       "fault campaign (single-point mode; see DESIGN.md 5f):\n"
       "  fault      1: enable the runtime fault campaign          [0]\n"
       "  fault_seed campaign master seed                          [seed]\n"
@@ -101,7 +109,8 @@ void print_help() {
       "  adapt_trim_uw      ring trimming power, uW per degC        [50]\n";
 }
 
-/// Parses "0.001:0.002:0.004" into rates; throws on junk.
+/// Parses "0.001:0.002:0.004" into rates; throws on junk and on rates that
+/// are negative or not finite.
 std::vector<double> parse_rates(const std::string& csv) {
   std::vector<double> rates;
   std::istringstream is(csv);
@@ -117,9 +126,77 @@ std::vector<double> parse_rates(const std::string& csv) {
     if (used != item.size()) {
       throw std::invalid_argument("bad rate in sweep list: " + item);
     }
+    if (!std::isfinite(rates.back()) || rates.back() < 0.0) {
+      throw std::invalid_argument("rate: want a finite value >= 0");
+    }
   }
   if (rates.empty()) throw std::invalid_argument("sweep: no rates given");
   return rates;
+}
+
+/// The human summary of a single-point run (the default and csv modes).
+void print_summary(const std::string& network_name,
+                   const ownsim::ExperimentConfig& config,
+                   const ownsim::ExperimentResult& result) {
+  using namespace ownsim;
+  const RunResult& run = result.run;
+  Table summary({"metric", "value"});
+  summary.add_row({"network", network_name});
+  summary.add_row({"pattern", to_string(config.pattern)});
+  summary.add_row({"offered (flits/node/cyc)", Table::num(config.rate, 4)});
+  summary.add_row({"throughput", Table::num(run.throughput, 4)});
+  summary.add_row({"avg latency (cyc)", Table::num(run.avg_latency, 1)});
+  summary.add_row({"p99 latency (cyc)", Table::num(run.p99_latency, 1)});
+  summary.add_row({"avg hops", Table::num(run.avg_hops, 2)});
+  summary.add_row({"drained", run.drained ? "yes" : "no"});
+  summary.add_row(
+      {"router power (W)", Table::num(result.power.router_w(), 3)});
+  summary.add_row(
+      {"photonic power (W)", Table::num(result.power.photonic_w(), 3)});
+  summary.add_row(
+      {"wireless power (W)", Table::num(result.power.wireless_w(), 3)});
+  summary.add_row({"electrical power (W)",
+                   Table::num(result.power.electrical_link_w, 3)});
+  summary.add_row({"total power (W)", Table::num(result.power.total_w(), 3)});
+  summary.add_row({"energy/packet (pJ)",
+                   Table::num(result.energy_per_packet_pj, 0)});
+  if (config.fault.enabled) {
+    summary.add_row(
+        {"fault ber", Table::num(fault::resolve_ber(config.fault), 12)});
+    summary.add_row(
+        {"crc errors", std::to_string(result.fault.crc_errors)});
+    summary.add_row(
+        {"retransmissions", std::to_string(result.fault.retransmissions)});
+    summary.add_row(
+        {"token recoveries", std::to_string(result.fault.token_recoveries)});
+    summary.add_row(
+        {"flows degraded", std::to_string(result.fault.flows_degraded)});
+    if (config.fault.watchdog) {
+      summary.add_row(
+          {"watchdog", result.watchdog_tripped ? "TRIPPED" : "ok"});
+    }
+  }
+  if (config.adapt.enabled) {
+    if (!config.fault.enabled) {
+      summary.add_row(
+          {"crc errors", std::to_string(result.fault.crc_errors)});
+      summary.add_row(
+          {"retransmissions", std::to_string(result.fault.retransmissions)});
+    }
+    summary.add_row(
+        {"adapt refreshes", std::to_string(result.adapt.refreshes)});
+    summary.add_row(
+        {"adapt backoffs", std::to_string(result.adapt.backoffs)});
+    summary.add_row({"adapt reallocations",
+                     std::to_string(result.adapt.reallocations)});
+    summary.add_row(
+        {"peak temp rise (C)", Table::num(result.adapt.peak_temp_c, 2)});
+    summary.add_row(
+        {"min margin (dB)", Table::num(result.adapt.min_margin_db, 2)});
+    summary.add_row(
+        {"trim power (mW)", Table::num(result.adapt.trim_avg_mw, 3)});
+  }
+  summary.print(std::cout);
 }
 
 }  // namespace
@@ -190,8 +267,9 @@ int main(int argc, char** argv) {
       sweep_options.phases = config.phases;
       sweep_options.injector = config.injector;
       sweep_options.master_seed = config.injector.master_seed;
-      sweep_options.threads = static_cast<unsigned>(
-          args.get_int("threads", exec::default_threads()));
+      sweep_options.threads = config.threads > 0
+                                  ? static_cast<unsigned>(config.threads)
+                                  : exec::default_threads();
       sweep_options.stop_after_saturation = false;
       if (args.get_bool("progress", false)) {
         sweep_options.progress = [](const SweepProgress& p) {
@@ -228,6 +306,9 @@ int main(int argc, char** argv) {
       std::cerr << "unknown report format: " << report << "\n";
       return 1;
     }
+    // report=json keeps stdout one JSON document: human lines go to stderr.
+    const bool json = report == "json";
+    std::ostream& human = json ? std::cerr : std::cout;
 
     // Tracing is runtime-opt-in: attaching the writer must not (and does
     // not — test_obs asserts it) change any simulated result.
@@ -245,7 +326,8 @@ int main(int argc, char** argv) {
     bool trace_failed = false;
     std::ostringstream counters_text;
     std::ostringstream report_text;
-    hooks.after_run = [&](Network& network, const ExperimentResult&) {
+    serve::Json document;
+    hooks.after_run = [&](Network& network, const ExperimentResult& result) {
       network_name = network.spec().name;
       if (trace) {
         network.flush_trace();
@@ -260,11 +342,14 @@ int main(int argc, char** argv) {
           trace_line = line.str();
         }
       }
+      if (json) {
+        document =
+            experiment_report_json(config, result, NetworkReport(network));
+        return;
+      }
       if (want_counters) network.obs().write_json(counters_text);
       if (report == "csv") {
         NetworkReport(network).write_channels_csv(report_text);
-      } else if (report == "json") {
-        NetworkReport(network).write_json(report_text);
       }
     };
 
@@ -274,73 +359,21 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open trace output: " << trace_out << "\n";
       return 1;
     }
-    std::cout << trace_line;
+    human << trace_line;
 
-    Table summary({"metric", "value"});
-    summary.add_row({"network", network_name});
-    summary.add_row({"pattern", to_string(config.pattern)});
-    summary.add_row({"offered (flits/node/cyc)", Table::num(config.rate, 4)});
-    summary.add_row({"throughput", Table::num(run.throughput, 4)});
-    summary.add_row({"avg latency (cyc)", Table::num(run.avg_latency, 1)});
-    summary.add_row({"p99 latency (cyc)", Table::num(run.p99_latency, 1)});
-    summary.add_row({"avg hops", Table::num(run.avg_hops, 2)});
-    summary.add_row({"drained", run.drained ? "yes" : "no"});
-    summary.add_row(
-        {"router power (W)", Table::num(result.power.router_w(), 3)});
-    summary.add_row(
-        {"photonic power (W)", Table::num(result.power.photonic_w(), 3)});
-    summary.add_row(
-        {"wireless power (W)", Table::num(result.power.wireless_w(), 3)});
-    summary.add_row({"electrical power (W)",
-                     Table::num(result.power.electrical_link_w, 3)});
-    summary.add_row({"total power (W)", Table::num(result.power.total_w(), 3)});
-    summary.add_row({"energy/packet (pJ)",
-                     Table::num(result.energy_per_packet_pj, 0)});
-    if (config.fault.enabled) {
-      summary.add_row(
-          {"fault ber", Table::num(fault::resolve_ber(config.fault), 12)});
-      summary.add_row(
-          {"crc errors", std::to_string(result.fault.crc_errors)});
-      summary.add_row(
-          {"retransmissions", std::to_string(result.fault.retransmissions)});
-      summary.add_row(
-          {"token recoveries", std::to_string(result.fault.token_recoveries)});
-      summary.add_row(
-          {"flows degraded", std::to_string(result.fault.flows_degraded)});
-      if (config.fault.watchdog) {
-        summary.add_row(
-            {"watchdog", result.watchdog_tripped ? "TRIPPED" : "ok"});
-      }
+    if (json) {
+      std::cout << document.dump() << '\n';
+    } else {
+      print_summary(network_name, config, result);
     }
-    if (config.adapt.enabled) {
-      if (!config.fault.enabled) {
-        summary.add_row(
-            {"crc errors", std::to_string(result.fault.crc_errors)});
-        summary.add_row(
-            {"retransmissions", std::to_string(result.fault.retransmissions)});
-      }
-      summary.add_row(
-          {"adapt refreshes", std::to_string(result.adapt.refreshes)});
-      summary.add_row(
-          {"adapt backoffs", std::to_string(result.adapt.backoffs)});
-      summary.add_row({"adapt reallocations",
-                       std::to_string(result.adapt.reallocations)});
-      summary.add_row(
-          {"peak temp rise (C)", Table::num(result.adapt.peak_temp_c, 2)});
-      summary.add_row(
-          {"min margin (dB)", Table::num(result.adapt.min_margin_db, 2)});
-      summary.add_row(
-          {"trim power (mW)", Table::num(result.adapt.trim_avg_mw, 3)});
-    }
-    summary.print(std::cout);
-
     if (args.get_bool("profile", false)) {
-      std::cout << "\nprofile: " << run_profile_summary(run) << '\n';
+      human << (json ? "" : "\n") << "profile: " << run_profile_summary(run)
+            << '\n';
     }
-    if (want_counters) {
+    if (want_counters && !json) {
       std::cout << "\ncounters:\n" << counters_text.str();
     }
-    if (report != "none") {
+    if (report == "csv") {
       std::cout << '\n' << report_text.str();
     }
     if (config.fault.enabled && result.watchdog_tripped) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace ownsim {
@@ -81,21 +80,6 @@ Config Config::from_file(const std::string& path) {
 
 void Config::set(const std::string& key, const std::string& value) {
   values_[key] = value;
-}
-
-void Config::set_int(const std::string& key, std::int64_t value) {
-  set(key, std::to_string(value));
-}
-
-void Config::set_double(const std::string& key, double value) {
-  std::ostringstream os;
-  os.precision(17);
-  os << value;
-  set(key, os.str());
-}
-
-void Config::set_bool(const std::string& key, bool value) {
-  set(key, value ? "true" : "false");
 }
 
 bool Config::contains(const std::string& key) const {
@@ -179,17 +163,6 @@ std::vector<std::string> Config::keys() const {
   out.reserve(values_.size());
   for (const auto& [k, v] : values_) out.push_back(k);
   return out;
-}
-
-std::string Config::to_string() const {
-  std::ostringstream os;
-  bool first = true;
-  for (const auto& [k, v] : values_) {
-    if (!first) os << ' ';
-    os << k << '=' << v;
-    first = false;
-  }
-  return os.str();
 }
 
 }  // namespace ownsim

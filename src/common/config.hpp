@@ -26,9 +26,6 @@ class Config {
   static Config from_file(const std::string& path);
 
   void set(const std::string& key, const std::string& value);
-  void set_int(const std::string& key, std::int64_t value);
-  void set_double(const std::string& key, double value);
-  void set_bool(const std::string& key, bool value);
 
   bool contains(const std::string& key) const;
 
@@ -49,9 +46,6 @@ class Config {
 
   /// Keys in sorted order (deterministic dumps).
   std::vector<std::string> keys() const;
-
-  /// "k1=v1 k2=v2 ..." in key-sorted order.
-  std::string to_string() const;
 
  private:
   std::optional<std::string> find(const std::string& key) const;

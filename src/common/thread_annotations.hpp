@@ -5,7 +5,7 @@
 // held, a function marked OWNSIM_REQUIRES(mu_) may only be called with `mu_`
 // held, and every acquire must be matched by a release on all paths. The
 // repo's concurrent subsystems (exec pool, metrics sweeps, the trace writer,
-// shared media, the Log sink) carry these annotations, and the clang CI
+// shared media) carry these annotations, and the clang CI
 // legs compile with `-Wthread-safety -Wthread-safety-beta` escalated to
 // errors — a lock violation is a build break, not a latent race (DESIGN.md
 // §5h).

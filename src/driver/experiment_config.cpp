@@ -8,6 +8,7 @@
 #include <type_traits>
 
 #include "common/sha256.hpp"
+#include "metrics/report.hpp"
 #include "serve/json.hpp"
 #include "topofile/topofile.hpp"
 
@@ -352,6 +353,9 @@ ExperimentConfig parse_experiment_config(
       config.options.clock_ghz <= 0.0) {
     throw std::invalid_argument("clock_ghz: want a finite value > 0");
   }
+  if (!std::isfinite(config.rate) || config.rate < 0.0) {
+    throw std::invalid_argument("rate: want a finite value >= 0");
+  }
   if (config.options.flit_bits <= 0) {
     throw std::invalid_argument("flit_bits: want > 0");
   }
@@ -383,6 +387,16 @@ std::string canonical_config_json(const ExperimentConfig& config) {
     json["topofile.generator"] = Json(topofile::kTopofileGeneratorVersion);
   }
   return json.dump();
+}
+
+serve::Json experiment_report_json(const ExperimentConfig& config,
+                                   const ExperimentResult& result,
+                                   const NetworkReport& network) {
+  Json::Object o;
+  o["config"] = Json::parse(canonical_config_json(config));
+  o["network"] = network.to_json();
+  o["result"] = Json::parse(experiment_result_json(result));
+  return Json(std::move(o));
 }
 
 }  // namespace ownsim

@@ -11,7 +11,9 @@
 //     dump of every field that can influence a simulated result — sorted
 //     keys, shortest-round-trip number forms (common/numfmt). Two configs
 //     describe the same experiment iff their canonical JSON is byte-equal.
-//     Deliberately EXCLUDED from the canonical form:
+//     Every report=json document carries it (`experiment_report_json`), so
+//     a report names the experiment that produced it. Deliberately
+//     EXCLUDED from the canonical form:
 //       - `kernel` (and the parallel-kernel `threads`/`partitions` knobs):
 //         activity, lockstep and parallel are bit-identical by contract
 //         (DESIGN.md §5e/§5i, enforced by bench_kernel and the pdes-parity
@@ -26,8 +28,11 @@
 
 #include "common/config.hpp"
 #include "driver/simulate.hpp"
+#include "serve/json.hpp"
 
 namespace ownsim {
+
+class NetworkReport;
 
 /// Builds an ExperimentConfig from flat key=value settings (the ownsim_cli
 /// vocabulary, `experiment_config_keys()`). Every field is declared once, in
@@ -48,5 +53,13 @@ const std::vector<std::string>& experiment_config_keys();
 /// A file topology is written as the SHA-256 of `options.topofile_text`
 /// (std::logic_error when the text was never loaded).
 std::string canonical_config_json(const ExperimentConfig& config);
+
+/// The `ownsim_cli report=json` document, one JSON object: `config` (the
+/// canonical config JSON above), `result` (`experiment_result_json`, the
+/// same bytes) and `network` (`NetworkReport::to_json`). Each value is
+/// printed at full precision, and the obs counters appear once, in `result`.
+serve::Json experiment_report_json(const ExperimentConfig& config,
+                                   const ExperimentResult& result,
+                                   const NetworkReport& network);
 
 }  // namespace ownsim

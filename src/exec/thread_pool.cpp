@@ -35,11 +35,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-std::size_t ThreadPool::pending() const {
-  MutexLock lock(mu_);
-  return queue_.size();
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

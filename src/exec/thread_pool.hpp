@@ -44,9 +44,6 @@ class ThreadPool {
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Tasks queued but not yet picked up by a worker.
-  std::size_t pending() const;
-
   /// Enqueues `fn` and returns the future for its result. An exception
   /// thrown by `fn` is captured and rethrown from `future.get()`.
   template <typename F>
@@ -69,7 +66,7 @@ class ThreadPool {
  private:
   void worker_loop();
 
-  mutable Mutex mu_;
+  Mutex mu_;
   CondVar cv_;
   std::queue<std::function<void()>> queue_ OWNSIM_GUARDED_BY(mu_);
   std::vector<std::thread> workers_;  ///< written only in ctor/dtor

@@ -71,18 +71,6 @@ NetworkReport::NetworkReport(const Network& network) {
         static_cast<double>(activity.crossbar_flits) / cycles;
     routers_.push_back(activity);
   }
-
-  counters_.reserve(network.obs().size());
-  network.obs().for_each([this](const std::string& name, std::int64_t value) {
-    counters_.emplace_back(name, value);
-  });
-}
-
-const ChannelUtilization& NetworkReport::hottest_channel() const {
-  return *std::max_element(channels_.begin(), channels_.end(),
-                           [](const auto& a, const auto& b) {
-                             return a.utilization < b.utilization;
-                           });
 }
 
 const RouterActivity& NetworkReport::hottest_router() const {
@@ -120,38 +108,34 @@ void NetworkReport::write_channels_csv(std::ostream& os) const {
   }
 }
 
-void NetworkReport::write_routers_csv(std::ostream& os) const {
-  os << "router,crossbar_flits,crossbar_load\n";
-  for (const auto& r : routers_) {
-    os << r.id << ',' << r.crossbar_flits << ',' << r.crossbar_load << '\n';
+serve::Json NetworkReport::to_json() const {
+  using serve::Json;
+  Json::Array channels;
+  channels.reserve(channels_.size());
+  for (const ChannelUtilization& c : channels_) {
+    Json::Object o;
+    o["flits"] = Json(c.flits);
+    o["medium"] = Json(to_string(c.medium));
+    o["name"] = Json(c.name);
+    o["shared"] = Json(c.shared);
+    o["token_wait_share"] = Json(c.token_wait_share);
+    o["utilization"] = Json(c.utilization);
+    channels.push_back(Json(std::move(o)));
   }
-}
-
-void NetworkReport::write_json(std::ostream& os) const {
-  os << "{\n  \"elapsed_cycles\": " << elapsed_ << ",\n  \"channels\": [";
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    const auto& c = channels_[i];
-    os << (i == 0 ? "" : ",") << "\n    {\"name\": "
-       << serve::json_string(c.name) << ", \"medium\": \""
-       << to_string(c.medium)
-       << "\", \"shared\": " << (c.shared ? "true" : "false")
-       << ", \"flits\": " << c.flits << ", \"utilization\": " << c.utilization
-       << ", \"token_wait_share\": " << c.token_wait_share << "}";
+  Json::Array routers;
+  routers.reserve(routers_.size());
+  for (const RouterActivity& r : routers_) {
+    Json::Object o;
+    o["crossbar_flits"] = Json(r.crossbar_flits);
+    o["crossbar_load"] = Json(r.crossbar_load);
+    o["id"] = Json(r.id);
+    routers.push_back(Json(std::move(o)));
   }
-  os << "\n  ],\n  \"routers\": [";
-  for (std::size_t i = 0; i < routers_.size(); ++i) {
-    const auto& r = routers_[i];
-    os << (i == 0 ? "" : ",") << "\n    {\"id\": " << r.id
-       << ", \"crossbar_flits\": " << r.crossbar_flits
-       << ", \"crossbar_load\": " << r.crossbar_load << "}";
-  }
-  os << "\n  ],\n  \"counters\": {";
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    os << (i == 0 ? "" : ",") << "\n    "
-       << serve::json_string(counters_[i].first) << ": "
-       << counters_[i].second;
-  }
-  os << "\n  }\n}\n";
+  Json::Object o;
+  o["channels"] = Json(std::move(channels));
+  o["elapsed_cycles"] = Json(elapsed_);
+  o["routers"] = Json(std::move(routers));
+  return Json(std::move(o));
 }
 
 std::string sweep_telemetry_summary(const SweepTelemetry& telemetry) {
@@ -182,17 +166,6 @@ std::string run_profile_summary(const RunResult& result) {
      << " / measure " << p.measure_seconds << " / drain " << p.drain_seconds
      << " s]";
   return os.str();
-}
-
-void write_run_profile_json(std::ostream& os, const RunResult& result) {
-  const RunProfile& p = result.profile;
-  os << "{\"wall_seconds\": " << p.wall_seconds
-     << ", \"warmup_seconds\": " << p.warmup_seconds
-     << ", \"measure_seconds\": " << p.measure_seconds
-     << ", \"drain_seconds\": " << p.drain_seconds
-     << ", \"cycles_simulated\": " << result.cycles_simulated
-     << ", \"cycles_per_second\": " << p.cycles_per_second
-     << ", \"peak_rss_bytes\": " << p.peak_rss_bytes << "}\n";
 }
 
 serve::Json run_result_canonical_json(const RunResult& result) {

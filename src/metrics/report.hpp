@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "metrics/sweep.hpp"
@@ -40,14 +39,7 @@ class NetworkReport {
 
   const std::vector<ChannelUtilization>& channels() const { return channels_; }
   const std::vector<RouterActivity>& routers() const { return routers_; }
-  /// Snapshot of the network's obs counter registry (name-sorted; empty when
-  /// the registry is compiled out with OWNSIM_OBS=OFF).
-  const std::vector<std::pair<std::string, std::int64_t>>& counters() const {
-    return counters_;
-  }
 
-  /// Most-utilized channel (the bottleneck candidate).
-  const ChannelUtilization& hottest_channel() const;
   /// Busiest router by crossbar load.
   const RouterActivity& hottest_router() const;
 
@@ -55,17 +47,17 @@ class NetworkReport {
   double mean_utilization(MediumType medium) const;
   double max_utilization(MediumType medium) const;
 
-  /// Exports (one row per channel / router).
+  /// One row per channel.
   void write_channels_csv(std::ostream& os) const;
-  void write_routers_csv(std::ostream& os) const;
-  /// Whole report as a JSON object.
-  void write_json(std::ostream& os) const;
+  /// Elapsed cycles, channels and routers as a JSON object, numbers at full
+  /// precision. The obs counters are not repeated here: they are part of
+  /// the experiment result (`ExperimentResult::counters`).
+  serve::Json to_json() const;
 
  private:
   Cycle elapsed_ = 0;
   std::vector<ChannelUtilization> channels_;
   std::vector<RouterActivity> routers_;
-  std::vector<std::pair<std::string, std::int64_t>> counters_;
 };
 
 /// One-line human summary of a sweep's execution telemetry, e.g.
@@ -80,9 +72,6 @@ std::string sweep_progress_line(const SweepProgress& progress);
 /// "11.5k cycles in 0.21 s (54.8k cycles/s), peak RSS 38.1 MB
 ///  [warmup 0.04 / measure 0.11 / drain 0.06 s]".
 std::string run_profile_summary(const RunResult& result);
-
-/// Profile as a flat JSON object (per-phase wall seconds, cycles/sec, RSS).
-void write_run_profile_json(std::ostream& os, const RunResult& result);
 
 /// The deterministic fields of `result` as a canonical JSON object (sorted
 /// keys, shortest-round-trip number forms via serve::Json), the latency

@@ -48,19 +48,4 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto cell = [](const std::string& s) {
-    if (s.find(',') == std::string::npos) return s;
-    return '"' + s + '"';
-  };
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << (c == 0 ? "" : ",") << cell(row[c]);
-    }
-    os << '\n';
-  };
-  print_row(header_);
-  for (const auto& row : rows_) print_row(row);
-}
-
 }  // namespace ownsim

@@ -1,4 +1,4 @@
-// Fixed-width ASCII table / CSV emitters for the bench harness.
+// Fixed-width ASCII table emitter for the bench harness.
 //
 // Every bench binary prints the rows/series the corresponding paper table or
 // figure reports; `Table` keeps that output aligned and greppable.
@@ -22,9 +22,6 @@ class Table {
 
   /// Renders with column alignment and a header rule.
   void print(std::ostream& os) const;
-
-  /// Comma-separated (quotes cells containing commas).
-  void print_csv(std::ostream& os) const;
 
   std::size_t num_rows() const { return rows_.size(); }
 

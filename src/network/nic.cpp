@@ -48,11 +48,11 @@ PacketId Nic::enqueue_packet(NodeId src, NodeId dst, RouterId dst_router,
   queued_flits_ += size_flits;
   ++packets_created_;
   ready_[static_cast<std::size_t>(src) / 64] |= std::uint64_t{1} << (src % 64);
-  // Callers enqueue either mid-eval (injector, eject callbacks) — where the
-  // NIC's eval slot for `now` has already passed, so the engine clamps the
-  // wake to now+1 (matching lockstep: the NIC is registered before every
-  // traffic source) — or between steps, where cycle `now` is still upcoming
-  // and the wake lands on it.
+  // Callers enqueue either mid-eval (injectors) — where the NIC's eval slot
+  // for `now` has already passed, so the engine clamps the wake to now+1
+  // (matching lockstep: the NIC is registered before every traffic source)
+  // — or between steps, where cycle `now` is still upcoming and the wake
+  // lands on it.
   request_wake(now);
   return id;
 }
@@ -63,15 +63,12 @@ void Nic::eval(Cycle now) {
       ready_[w] |= mailbox_[w].exchange(0, std::memory_order_relaxed);
     }
   }
-  // Ascending port order, re-reading the word after every visit: a packet an
-  // eject callback enqueues at a higher port is injected this same cycle,
-  // one at this or a lower port the next — exactly as a scan of all ports.
+  // Ascending port order over a snapshot of each word: a visit clears only
+  // its own bit, and nothing enqueues while the NIC evaluates.
   for (std::size_t w = 0; w < ready_.size(); ++w) {
-    std::uint64_t visited = 0;  // this bit and every bit below it
     for (std::uint64_t pending = ready_[w]; pending != 0;
-         pending = ready_[w] & ~visited) {
+         pending &= pending - 1) {
       const int bit = std::countr_zero(pending);
-      visited = (std::uint64_t{2} << bit) - 1;
       visit(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(bit)), now);
     }
   }
@@ -113,7 +110,6 @@ void Nic::visit(NodeId node, Cycle now) {
       }
     }
   }
-  // Before the ejection step: a reply its callback enqueues here re-raises.
   if (!keep) word &= ~mask;
 
   // ---- Ejection: at most one flit per node per cycle. ----------------------
@@ -135,7 +131,6 @@ void Nic::visit(NodeId node, Cycle now) {
         records_.push_back(rec);
         ++packets_ejected_;
         if (rec.measured) ++measured_ejected_;
-        if (on_eject_) on_eject_(records_.back(), now);
       }
       const VcId vc = flit->vc;
       port.eject->pop(now);

@@ -13,7 +13,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -36,13 +35,6 @@ class Nic final : public Clocked {
   PacketId enqueue_packet(NodeId src, NodeId dst, RouterId dst_router,
                           int size_flits, std::uint32_t flit_bits,
                           int vc_class, Cycle now, bool measured);
-
-  /// Invoked at every tail-flit ejection, after the record is stored.
-  /// Used by closed-loop traffic (request/reply) to react to arrivals.
-  using EjectCallback = std::function<void(const PacketRecord&, Cycle now)>;
-  void set_eject_callback(EjectCallback callback) {
-    on_eject_ = std::move(callback);
-  }
 
   /// Visits only the ports in the ready set, in ascending order (see
   /// `is_idle`); a port the visit cannot advance leaves the set.
@@ -106,7 +98,6 @@ class Nic final : public Clocked {
   std::vector<std::uint64_t> ready_;  ///< ready set, one bit per port
   std::vector<std::atomic<std::uint64_t>> mailbox_;  ///< see raise()
   std::vector<PacketRecord> records_;
-  EjectCallback on_eject_;
   PacketId next_packet_ = 0;
   std::int64_t queued_flits_ = 0;
   std::int64_t packets_created_ = 0;

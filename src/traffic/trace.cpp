@@ -1,8 +1,6 @@
 #include "traffic/trace.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace ownsim {
@@ -12,44 +10,6 @@ Trace::Trace(std::vector<TraceRecord> records) : records_(std::move(records)) {
     if (records_[i].cycle < records_[i - 1].cycle) {
       throw std::runtime_error("Trace: records must be cycle-ordered");
     }
-  }
-}
-
-Trace Trace::parse(std::istream& in) {
-  std::vector<TraceRecord> records;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream fields(line);
-    TraceRecord rec;
-    if (!(fields >> rec.cycle)) continue;  // blank/comment line
-    if (!(fields >> rec.src >> rec.dst >> rec.size_flits)) {
-      throw std::runtime_error("Trace: malformed line " +
-                               std::to_string(line_no));
-    }
-    if (rec.size_flits < 1 || rec.src < 0 || rec.dst < 0 || rec.cycle < 0) {
-      throw std::runtime_error("Trace: invalid record at line " +
-                               std::to_string(line_no));
-    }
-    records.push_back(rec);
-  }
-  return Trace(std::move(records));
-}
-
-Trace Trace::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("Trace: cannot open " + path);
-  return parse(in);
-}
-
-void Trace::save(std::ostream& out) const {
-  out << "# cycle src dst size_flits\n";
-  for (const TraceRecord& rec : records_) {
-    out << rec.cycle << ' ' << rec.src << ' ' << rec.dst << ' '
-        << rec.size_flits << '\n';
   }
 }
 

@@ -2,20 +2,14 @@
 // real workloads").
 //
 // A trace is an ordered list of (cycle, src, dst, size_flits) records. The
-// `TraceInjector` replays one into the NIC at the recorded cycles; traces
-// can be loaded from a simple text format, written back, or synthesized by
-// `generate_bursty_trace`, an on/off Markov-modulated process that mimics
-// application phase behavior (bursts of correlated traffic separated by
-// quiet periods) — the closest synthetic stand-in for the real workloads
-// the paper defers to future work.
-//
-// Text format: one record per line, `cycle src dst size_flits`,
-// '#' comments, cycles non-decreasing.
+// `TraceInjector` replays one into the NIC at the recorded cycles. Traces
+// are synthesized in memory by `generate_bursty_trace`, an on/off
+// Markov-modulated process that mimics application phase behavior (bursts
+// of correlated traffic separated by quiet periods) — the closest synthetic
+// stand-in for the real workloads the paper defers to future work.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -35,14 +29,8 @@ struct TraceRecord {
 class Trace {
  public:
   Trace() = default;
+  /// Throws std::runtime_error unless the cycles are non-decreasing.
   explicit Trace(std::vector<TraceRecord> records);
-
-  /// Parses the text format; throws std::runtime_error on malformed input
-  /// or decreasing cycles.
-  static Trace parse(std::istream& in);
-  static Trace load(const std::string& path);
-
-  void save(std::ostream& out) const;
 
   const std::vector<TraceRecord>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }

@@ -1,8 +1,6 @@
 #include "wireless/technology.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <stdexcept>
 
 namespace ownsim {
 
@@ -17,18 +15,6 @@ const char* to_string(WirelessTech tech) {
 
 const char* to_string(Scenario scenario) {
   return scenario == Scenario::kIdeal ? "ideal" : "conservative";
-}
-
-WirelessTech parse_tech(const std::string& name) {
-  std::string s = name;
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  if (s == "cmos") return WirelessTech::kCmos;
-  if (s == "bicmos") return WirelessTech::kBiCmos;
-  if (s == "sige" || s == "hbt" || s == "sigehbt" || s == "sige-hbt") {
-    return WirelessTech::kSiGeHbt;
-  }
-  throw std::invalid_argument("unknown wireless technology: " + name);
 }
 
 EnergyPerBit base_efficiency(WirelessTech tech) {
@@ -71,10 +57,6 @@ Frequency channel_bandwidth(Scenario scenario) {
 
 Frequency guard_band(Scenario scenario) {
   return scenario == Scenario::kIdeal ? 8.0_ghz : 4.0_ghz;
-}
-
-DataRate channel_rate(Scenario scenario) {
-  return channel_bandwidth(scenario) * kBit;  // 1 bit/s/Hz OOK
 }
 
 }  // namespace ownsim

@@ -16,8 +16,6 @@
 // CMOS / BiCMOS / HBT; conservative +0.05 / +0.06 / +0.07.
 #pragma once
 
-#include <string>
-
 #include "common/quantity.hpp"
 
 namespace ownsim {
@@ -30,9 +28,6 @@ enum class Scenario { kIdeal, kConservative };
 
 const char* to_string(WirelessTech tech);
 const char* to_string(Scenario scenario);
-
-/// Parses "cmos" / "bicmos" / "sige"/"hbt"; throws on unknown names.
-WirelessTech parse_tech(const std::string& name);
 
 /// Base efficiency at the 100 GHz anchor.
 EnergyPerBit base_efficiency(WirelessTech tech);
@@ -49,8 +44,5 @@ Frequency channel_bandwidth(Scenario scenario);
 
 /// Guard band between adjacent channels: 8 GHz ideal / 4 GHz conservative.
 Frequency guard_band(Scenario scenario);
-
-/// Channel data rate (1 bit/s/Hz OOK: 32 or 16 Gb/s).
-DataRate channel_rate(Scenario scenario);
 
 }  // namespace ownsim

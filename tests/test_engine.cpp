@@ -265,9 +265,9 @@ FaultPoint own256_fault_point(KernelMode mode,
   FaultPoint point;
   point.run = run_load_point(network, injector, config.phases);
   point.totals = campaign->totals();
-  std::ostringstream os;
-  NetworkReport(network).write_json(os);
-  point.report_json = os.str();
+  std::ostringstream counters;
+  network.obs().write_json(counters);
+  point.report_json = NetworkReport(network).to_json().dump() + counters.str();
   return point;
 }
 

@@ -1,8 +1,7 @@
-// Remaining coverage: the logger, latency histograms, O1TURN class usage
-// under live traffic, and trace injector measurement windows.
+// Remaining coverage: latency histograms, O1TURN class usage under live
+// traffic, and trace injector measurement windows.
 #include <gtest/gtest.h>
 
-#include "common/log.hpp"
 #include "common/units.hpp"
 #include "helpers.hpp"
 #include "metrics/runner.hpp"
@@ -12,18 +11,6 @@
 
 namespace ownsim {
 namespace {
-
-TEST(Log, LevelGating) {
-  const LogLevel old_level = Log::level();
-  Log::set_level(LogLevel::kWarn);
-  EXPECT_TRUE(Log::enabled(LogLevel::kError));
-  EXPECT_TRUE(Log::enabled(LogLevel::kWarn));
-  EXPECT_FALSE(Log::enabled(LogLevel::kInfo));
-  EXPECT_FALSE(Log::enabled(LogLevel::kDebug));
-  Log::set_level(LogLevel::kOff);
-  EXPECT_FALSE(Log::enabled(LogLevel::kError));
-  Log::set_level(old_level);
-}
 
 TEST(Runner, LatencyHistogramMatchesStats) {
   Network net(testing::ring_spec(8));

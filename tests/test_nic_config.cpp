@@ -3,7 +3,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <tuple>
 #include <vector>
 
@@ -62,7 +61,7 @@ TEST(NicEdge, QueueBackpressureCounted) {
 // ---------------------------------------------------------------------------
 // The NIC's ready set (DESIGN.md §5e): eval visits only ports with work. A
 // port blocked on injection credits leaves the set until its inject channel
-// absorbs a credit; an eject callback's reply re-raises its port.
+// absorbs a credit.
 
 constexpr KernelMode kKernels[] = {KernelMode::kLockstep, KernelMode::kActivity,
                                    KernelMode::kParallel};
@@ -106,64 +105,6 @@ TEST(NicReadySet, PortBlockedOnCreditsResumesAtLockstepCycle) {
   ASSERT_EQ(runs[0].size(), 3u);
   EXPECT_EQ(runs[0], runs[1]);
   EXPECT_EQ(runs[0], runs[2]);
-}
-
-/// Node 0 sends a request to node d (2..6) every 60 cycles; the eject
-/// callback answers each from port d + `offset`. Returns the records and
-/// checks each reply's injection cycle against the ascending port scan: a
-/// higher port injects the same cycle, this or a lower port the next.
-std::vector<RecordKey> run_replies(KernelMode mode, int offset) {
-  Network network(testing::ring_spec(8));
-  network.engine().set_mode(mode);
-  if (mode == KernelMode::kParallel) network.configure_parallel(2, 4);
-  Nic& nic = network.nic();
-  std::map<PacketId, bool> is_request;
-  std::map<PacketId, Cycle> reply_due;
-  nic.set_eject_callback([&](const PacketRecord& rec, Cycle now) {
-    if (!is_request[rec.packet]) return;
-    const NodeId from = rec.dst + offset;
-    const PacketId reply = nic.enqueue_packet(
-        from, rec.src, network.router_of(rec.src), 2, 128,
-        network.injection_vc_class(from, rec.src), now, true);
-    reply_due[reply] = offset > 0 ? now : now + 1;
-  });
-  for (Cycle now = 0; now < 400; ++now) {
-    if (now % 60 == 0 && now / 60 < 5) {
-      const NodeId dst = static_cast<NodeId>(2 + now / 60);
-      is_request[nic.enqueue_packet(0, dst, network.router_of(dst), 4, 128,
-                                    network.injection_vc_class(0, dst), now,
-                                    true)] = true;
-    }
-    network.engine().run(1);
-  }
-  EXPECT_TRUE(network.drained()) << to_string(mode);
-  EXPECT_EQ(reply_due.size(), 5u);
-  for (const PacketRecord& r : nic.records()) {
-    if (is_request[r.packet]) continue;
-    EXPECT_EQ(r.injected, reply_due.at(r.packet))
-        << to_string(mode) << " reply " << r.packet;
-  }
-  return keys(nic);
-}
-
-void expect_reply_parity(int offset) {
-  const std::vector<RecordKey> lockstep =
-      run_replies(KernelMode::kLockstep, offset);
-  EXPECT_EQ(lockstep.size(), 10u);
-  EXPECT_EQ(lockstep, run_replies(KernelMode::kActivity, offset));
-  EXPECT_EQ(lockstep, run_replies(KernelMode::kParallel, offset));
-}
-
-TEST(NicReadySet, EjectCallbackRepliesFromTheSamePort) {
-  expect_reply_parity(0);
-}
-
-TEST(NicReadySet, EjectCallbackRepliesFromAHigherPort) {
-  expect_reply_parity(1);
-}
-
-TEST(NicReadySet, EjectCallbackRepliesFromALowerPort) {
-  expect_reply_parity(-1);
 }
 
 TEST(ConfigFile, LoadsAndMerges) {

@@ -312,9 +312,6 @@ TEST(Obs, RunProfileIsPopulated) {
 #endif
   const std::string summary = run_profile_summary(result);
   EXPECT_NE(summary.find("cycles/s"), std::string::npos);
-  std::ostringstream os;
-  write_run_profile_json(os, result);
-  EXPECT_NE(os.str().find("\"wall_seconds\""), std::string::npos);
 }
 
 // ---- bench JSON -------------------------------------------------------------
@@ -390,28 +387,29 @@ TEST(BenchJson, WallTimerAdvances) {
   EXPECT_GE(last, 0.0);
 }
 
-// ---- NetworkReport counters snapshot ---------------------------------------
+// ---- experiment result counters snapshot -----------------------------------
 
-TEST(Obs, NetworkReportSnapshotsCounters) {
-  TopologyOptions options;
-  options.num_cores = 256;
-  Network network(build_topology(TopologyKind::kOwn, options));
-  TrafficPattern pattern(PatternKind::kUniform, 256);
-  Injector::Params params;
-  params.rate = 0.01;
-  Injector injector(&network, pattern, params);
-  network.engine().add(&injector);
-  network.engine().run(500);
-
-  const NetworkReport report(network);
-  EXPECT_EQ(report.counters().size(), network.obs().size());
-  std::ostringstream os;
-  report.write_json(os);
-  EXPECT_NE(os.str().find("\"counters\": {"), std::string::npos);
+TEST(Obs, ExperimentResultSnapshotsCounters) {
+  ExperimentConfig config;
+  config.rate = 0.01;
+  config.phases = RunPhases{100, 400, 4000};
+  std::vector<std::pair<std::string, std::int64_t>> registry;
+  RunHooks hooks;
+  hooks.after_run = [&registry](Network& network, const ExperimentResult&) {
+    network.obs().for_each([&registry](const std::string& name,
+                                       std::int64_t value) {
+      registry.emplace_back(name, value);
+    });
+  };
+  const ExperimentResult result = run_experiment(config, hooks);
+  EXPECT_EQ(result.counters, registry);
+  const serve::Json json = serve::Json::parse(experiment_result_json(result));
+  ASSERT_NE(json.find("counters"), nullptr);
+  EXPECT_EQ(json.find("counters")->as_object().size(), registry.size());
 #if OWNSIM_OBS_ENABLED
-  ASSERT_GT(report.counters().size(), 0u);
+  ASSERT_GT(result.counters.size(), 0u);
   std::int64_t offered = 0;
-  for (const auto& [name, value] : report.counters()) {
+  for (const auto& [name, value] : result.counters) {
     if (name == "injector.flits_offered") offered = value;
   }
   EXPECT_GT(offered, 0);

@@ -341,9 +341,9 @@ WatchdogOutcome run_watchdog_deadlock(KernelMode mode) {
   WatchdogOutcome outcome;
   outcome.tripped = campaign.watchdog_tripped();
   outcome.trip_now = net.engine().now();
-  std::ostringstream os;
-  NetworkReport(net).write_json(os);
-  outcome.report_json = os.str();
+  std::ostringstream counters;
+  net.obs().write_json(counters);
+  outcome.report_json = NetworkReport(net).to_json().dump() + counters.str();
   return outcome;
 }
 

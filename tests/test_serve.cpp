@@ -5,7 +5,9 @@
 //   * canonical_config_json is byte-stable, covers every key=value key,
 //     and leaves out only the result-neutral kernel knobs;
 //   * parse_experiment_config refuses unknown keys and out-of-range values
-//     by name.
+//     by name;
+//   * the report=json document holds the canonical config and the result
+//     JSON byte for byte, with the obs counters once.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +19,7 @@
 #include "common/sha256.hpp"
 #include "driver/experiment_config.hpp"
 #include "driver/simulate.hpp"
+#include "metrics/report.hpp"
 #include "serve/json.hpp"
 
 namespace ownsim {
@@ -147,6 +150,9 @@ TEST(ParseExperimentConfig, ValidatesInput) {
            "clock_ghz=inf",
            "flit_bits=0",
            "flit_bits=-8",
+           "rate=nan",
+           "rate=inf",
+           "rate=-1",
        }) {
     const std::string text(bad);
     const std::string key = text.substr(0, text.find('='));
@@ -158,9 +164,9 @@ TEST(ParseExperimentConfig, ValidatesInput) {
           << text << ": " << e.what();
     }
   }
-  // Zero-length warmup and drain stay legal.
+  // Zero-length warmup and drain, and zero offered load, stay legal.
   EXPECT_NO_THROW(
-      parse_experiment_config(Config::from_string("warmup=0 drain=0")));
+      parse_experiment_config(Config::from_string("warmup=0 drain=0 rate=0")));
   const ExperimentConfig config = parse_experiment_config(
       Config::from_string("watchdog=1234 fault_token_loss=0@50:never"));
   EXPECT_TRUE(config.fault.watchdog);
@@ -256,6 +262,41 @@ TEST(CanonicalConfig, EveryKeyReachesTheCacheKeyAndRoundTrips) {
         key == "kernel" || key == "threads" || key == "partitions";
     EXPECT_EQ(json == default_json, neutral) << key;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The report=json document
+
+TEST(ReportDocument, OneObjectHoldingConfigResultAndNetwork) {
+  const ExperimentConfig config = parse_experiment_config(Config::from_string(
+      "topology=cmesh cores=64 rate=0.004 warmup=100 measure=300 drain=3000"));
+  Json document;
+  RunHooks hooks;
+  hooks.after_run = [&](Network& network, const ExperimentResult& result) {
+    document = experiment_report_json(config, result, NetworkReport(network));
+  };
+  const ExperimentResult result = run_experiment(config, hooks);
+
+  const std::string text = document.dump();
+  const Json parsed = Json::parse(text);
+  ASSERT_TRUE(parsed.is_object());
+  EXPECT_EQ(parsed.as_object().size(), 3u);
+  ASSERT_NE(parsed.find("result"), nullptr);
+  EXPECT_EQ(parsed.find("result")->dump(), experiment_result_json(result));
+  ASSERT_NE(parsed.find("config"), nullptr);
+  EXPECT_EQ(parsed.find("config")->dump(), canonical_config_json(config));
+  const Json* network = parsed.find("network");
+  ASSERT_NE(network, nullptr);
+  EXPECT_NE(network->find("channels"), nullptr);
+  EXPECT_NE(network->find("routers"), nullptr);
+  EXPECT_NE(network->find("elapsed_cycles"), nullptr);
+  // The obs counters appear once: in the result, not again in the network.
+  std::size_t counters = 0;
+  for (auto at = text.find("\"counters\""); at != std::string::npos;
+       at = text.find("\"counters\"", at + 1)) {
+    ++counters;
+  }
+  EXPECT_EQ(counters, 1u);
 }
 
 }  // namespace

@@ -457,22 +457,22 @@ TEST(TopofileReports, OddLinkNamesStayValidJson) {
   config.options.topofile_text = text;
   config.rate = 0.01;
   config.phases = RunPhases{100, 300, 2000};
-  std::ostringstream report;
+  std::string report;
   std::ostringstream counters;
   RunHooks hooks;
   hooks.after_run = [&](Network& network, const ExperimentResult&) {
-    NetworkReport(network).write_json(report);
+    report = NetworkReport(network).to_json().dump();
     network.obs().write_json(counters);
   };
   run_experiment(config, hooks);
 
-  const serve::Json parsed_report = serve::Json::parse(report.str());
+  const serve::Json parsed_report = serve::Json::parse(report);
   bool found = false;
   for (const serve::Json& channel :
        parsed_report.find("channels")->as_array()) {
     found = found || channel.find("name")->as_string() == odd;
   }
-  EXPECT_TRUE(found) << report.str();
+  EXPECT_TRUE(found) << report;
   const serve::Json parsed_counters = serve::Json::parse(counters.str());
 #if OWNSIM_OBS_ENABLED
   EXPECT_NE(parsed_counters.find("link." + odd + ".flits"), nullptr)
