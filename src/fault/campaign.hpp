@@ -2,7 +2,7 @@
 //
 // A `FaultCampaign` wires the link-level reliability protocol
 // (fault/protocol.hpp) into a live network and injects mid-run fault events
-// through the engine's wake wheel, so lockstep and activity kernels stay
+// through the engine's wakes, so lockstep and activity kernels stay
 // bit-identical under faults (DESIGN.md §5f):
 //
 //  * transient flit corruption — every wireless channel and wireless shared

@@ -26,9 +26,10 @@
 // cycle the change first becomes visible — a "sender-side wake", exact at
 // now+1 when the peer is registered (evaluated) after it (DESIGN.md §5e).
 // A component that wakes itself only from its own `commit` (a shared medium
-// whose staging or credits just latched) needs no wake at all: the engine
-// re-checks `is_idle()` after every commit it runs and evaluates a component
-// that turned non-idle from the next cycle.
+// whose staging or credits just latched) needs no wake at all: once every
+// commit of the cycle has run, the engine re-checks `is_idle()` for each
+// component it committed and evaluates one that turned non-idle from the
+// next cycle.
 // State a dormant component accrues per skipped cycle (a token position, a
 // wait counter) may lag while it sleeps; `settle(through)` brings it up to
 // date, and the engine calls it whenever `run`/`run_until` return, so
@@ -50,7 +51,8 @@ class Clocked {
   virtual void commit(Cycle now) = 0;
 
   /// True when eval/commit would be a no-op until the next `request_wake`.
-  /// Consulted by the engine after each commit; see the contract above.
+  /// Consulted by the engine after the cycle's commits; see the contract
+  /// above.
   virtual bool is_idle() const { return false; }
 
   /// Brings state deferred while dormant (closed-form catch-up) up to date

@@ -38,16 +38,15 @@ void Engine::add(Clocked* component) {
   component->event_driven_ = mode_ != KernelMode::kLockstep;
   components_.push_back(component);
   // New components start active (lockstep semantics from the next cycle);
-  // idle ones retire after their first evaluated cycle. Ids are monotone, so
-  // appending keeps the active lists sorted. With a parallel plan installed,
-  // ids past the plan belong to the serial lane (driver extras keep their
-  // exact sequential schedule there).
-  is_active_.push_back(1);
+  // idle ones retire after their first evaluated cycle. With a parallel plan
+  // installed, ids past the plan belong to the serial lane (driver extras
+  // keep their exact sequential schedule there).
   commit_requested_.push_back(0);
   if (runtime_ != nullptr) {
     lane_add_active(component->sched_id_);
   } else {
-    active_.push_back(component->sched_id_);
+    sched_.resize(components_.size());
+    sched_.activate(component->sched_id_);
   }
 }
 
@@ -72,9 +71,14 @@ void Engine::settle() {
   for (Clocked* c : components_) c->settle(now_ - 1);
 }
 
+std::pair<Scheduler*, int> Engine::owner(int id) {
+  if (runtime_ == nullptr) return {&sched_, id};
+  return {&runtime_->lane(id).sched, runtime_->local_of(id)};
+}
+
 void Engine::wake(Clocked* component, Cycle at) {
-  // Lockstep evaluates everything anyway; recording wakes would only grow
-  // the wheel without ever draining it.
+  // Lockstep evaluates everything anyway; recording wakes would only fill
+  // the ring without ever draining it.
   if (mode_ == KernelMode::kLockstep) return;
   const int id = component->sched_id_;
   ParallelEvalCtx* ctx = detail::tl_parallel_ctx;
@@ -89,14 +93,9 @@ void Engine::wake(Clocked* component, Cycle at) {
   // slot may already be past); between steps, cycle now_ is still upcoming.
   const Cycle floor = stepping_ ? now_ + 1 : now_;
   const Cycle effective = std::max(at, floor);
-  if (is_active_[static_cast<std::size_t>(id)] != 0 && effective <= now_) {
-    return;
-  }
-  if (runtime_ != nullptr) {
-    lane_wheel_push(id, effective);
-  } else {
-    wheel_.push({effective, id});
-  }
+  const auto [sched, index] = owner(id);
+  if (effective <= now_ && sched->active(index)) return;
+  sched->post(index, effective, now_);
   ++stats_.wakes;
 }
 
@@ -108,16 +107,14 @@ void Engine::commit_request(Clocked* component) {
     parallel_commit_request(*ctx, id);
     return;
   }
-  if (is_active_[static_cast<std::size_t>(id)] != 0 ||
-      commit_requested_[static_cast<std::size_t>(id)] != 0) {
+  const auto [sched, index] = owner(id);
+  if (commit_requested_[static_cast<std::size_t>(id)] != 0 ||
+      sched->active(index)) {
     return;
   }
   commit_requested_[static_cast<std::size_t>(id)] = 1;
-  if (runtime_ != nullptr) {
-    lane_commit_extra_push(id);
-  } else {
-    commit_extras_.push_back(id);
-  }
+  (runtime_ != nullptr ? runtime_->lane(id).commit_extras : commit_extras_)
+      .push_back(id);
 }
 
 void Engine::step() {
@@ -143,60 +140,39 @@ void Engine::step_lockstep() {
 void Engine::step_activity() {
   stepping_ = true;
 
-  // 1. Activate every component whose wakeup is due. Entries for components
-  //    that re-activated earlier are stale and dropped here (lazy dedup).
-  while (!wheel_.empty() && wheel_.top().first <= now_) {
-    const int id = wheel_.top().second;
-    wheel_.pop();
-    if (!is_active_[static_cast<std::size_t>(id)]) {
-      is_active_[static_cast<std::size_t>(id)] = true;
-      newly_active_.push_back(id);
-    }
-  }
-  if (!newly_active_.empty()) {
-    active_.insert(active_.end(), newly_active_.begin(), newly_active_.end());
-    // Registration order == id order: sorting restores lockstep's relative
-    // eval order over the evaluated subset.
-    std::sort(active_.begin(), active_.end());
-    newly_active_.clear();
-  }
+  // 1. Activate every component whose wakeup is due; the sweep is the
+  //    active subset in id (= registration) order, lockstep's relative eval
+  //    order.
+  const std::vector<int>& sweep = sched_.start_cycle(now_);
 
-  // 2. Two-phase sweep over the active subset. Evals may post wakes (>= now+1)
-  //    and commit requests for dormant peers they staged writes into.
-  for (const int id : active_) {
+  // 2. Two-phase sweep. Evals may post wakes (>= now+1) and commit requests
+  //    for dormant peers they staged writes into.
+  for (const int id : sweep) {
     components_[static_cast<std::size_t>(id)]->eval(now_);
   }
-  for (const int id : active_) {
+  for (const int id : sweep) {
     components_[static_cast<std::size_t>(id)]->commit(now_);
   }
   for (const int id : commit_extras_) {
     components_[static_cast<std::size_t>(id)]->commit(now_);
-    commit_requested_[static_cast<std::size_t>(id)] = false;
+    commit_requested_[static_cast<std::size_t>(id)] = 0;
   }
-  stats_.evals += static_cast<std::int64_t>(active_.size());
+  stats_.evals += static_cast<std::int64_t>(sweep.size());
 
   // 3. Retire actives that fell idle; promote extras whose freshly latched
   //    state leaves them non-idle (e.g. a channel that latched a credit).
-  std::size_t keep = 0;
-  for (const int id : active_) {
-    if (components_[static_cast<std::size_t>(id)]->is_idle()) {
-      is_active_[static_cast<std::size_t>(id)] = false;
-    } else {
-      active_[keep++] = id;
-    }
-  }
-  active_.resize(keep);
-  bool need_sort = false;
+  //    A separate pass after all commits, so is_idle() may read anything
+  //    this cycle latched (sim/clocked.hpp).
+  sched_.retire_if([this](int id) {
+    return components_[static_cast<std::size_t>(id)]->is_idle();
+  });
   for (const int id : commit_extras_) {
-    if (!is_active_[static_cast<std::size_t>(id)] &&
+    if (!sched_.active(id) &&
         !components_[static_cast<std::size_t>(id)]->is_idle()) {
-      is_active_[static_cast<std::size_t>(id)] = true;
-      active_.push_back(id);
-      need_sort = true;
+      sched_.activate(id);
     }
   }
   commit_extras_.clear();
-  if (need_sort) std::sort(active_.begin(), active_.end());
 
   ++stats_.cycles_stepped;
   stepping_ = false;
@@ -204,8 +180,9 @@ void Engine::step_activity() {
 }
 
 void Engine::skip_to_next_event(Cycle deadline) {
-  const Cycle target =
-      wheel_.empty() ? deadline : std::min(wheel_.top().first, deadline);
+  const Cycle next =
+      runtime_ != nullptr ? parallel_next_wake() : sched_.next_wake(now_);
+  const Cycle target = std::min(next, deadline);
   if (target > now_) {
     stats_.cycles_skipped += target - now_;
     now_ = target;
@@ -213,10 +190,6 @@ void Engine::skip_to_next_event(Cycle deadline) {
 }
 
 void Engine::run(Cycle cycles) {
-  if (runtime_ != nullptr) {
-    parallel_run(cycles);
-    return;
-  }
   const Cycle deadline = now_ + cycles;
   while (now_ < deadline) {
     if (globally_idle()) {
@@ -229,7 +202,6 @@ void Engine::run(Cycle cycles) {
 }
 
 bool Engine::run_until(const std::function<bool()>& done, Cycle max_cycles) {
-  if (runtime_ != nullptr) return parallel_run_until(done, max_cycles);
   const Cycle deadline = now_ + max_cycles;
   if (mode_ == KernelMode::kLockstep) {
     while (now_ < deadline) {

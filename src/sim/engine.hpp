@@ -5,10 +5,11 @@
 // `Network`). Two kernels share the registry (see DESIGN.md §5e):
 //
 //  * kActivity (default) — activity-driven: only components in the active
-//    set are evaluated/committed; a wheel of future wakeups re-activates
+//    set are evaluated/committed; a ring of future wakeups re-activates
 //    dormant components, and `run`/`run_until` fast-forward `now_` across
-//    globally idle gaps (bounded by the next scheduled wakeup). Bit-identical
-//    to lockstep by the quiescence contract in sim/clocked.hpp.
+//    globally idle gaps (bounded by the next scheduled wakeup). Both live in
+//    a `Scheduler` (sim/scheduler.hpp). Bit-identical to lockstep by the
+//    quiescence contract in sim/clocked.hpp.
 //  * kLockstep — the original tick-everything loop: eval all, commit all,
 //    now()+1. Escape hatch + differential-testing baseline; selected with
 //    `set_mode` (ExperimentConfig::kernel, key=value `kernel=lockstep`).
@@ -22,16 +23,17 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 #include "sim/clocked.hpp"
+#include "sim/scheduler.hpp"
 
 namespace ownsim {
 
 enum class KernelMode {
-  kActivity,  ///< active set + wake wheel + idle skip-ahead
+  kActivity,  ///< active set + wake ring + idle skip-ahead
   kLockstep,  ///< eval/commit every component every cycle
   kParallel,  ///< activity semantics, partitions evaluated on worker threads
 };
@@ -98,15 +100,12 @@ class Engine {
   /// Components currently in the active set (diagnostics/tests).
   std::size_t num_active() const;
 
-  /// Earliest pending wakeup, or kNeverCycle when the wheel is empty.
-  Cycle next_wake() const;
-
   /// Kernel statistics (observational; reset never, monotone within a run).
   struct Stats {
     std::int64_t cycles_stepped = 0;  ///< cycles with at least one eval
     std::int64_t cycles_skipped = 0;  ///< cycles fast-forwarded while idle
     std::int64_t evals = 0;           ///< component evals performed
-    std::int64_t wakes = 0;           ///< wakeups posted to the wheel
+    std::int64_t wakes = 0;           ///< wakeups posted, duplicates included
   };
   /// Aggregated over the partition lanes when a parallel plan is configured.
   /// Safe to call between cycles and from the serial phase (workers parked).
@@ -132,59 +131,54 @@ class Engine {
   void settle();
 
   /// True when no component is active and no wakeup is due at `now_`
-  /// (then nothing can change until `next_wake()`).
+  /// (then nothing can change until the scheduler's next wake).
   bool globally_idle() const {
-    return mode_ != KernelMode::kLockstep && active_.empty() &&
-           (wheel_.empty() || wheel_.top().first > now_);
+    if (runtime_ != nullptr) return parallel_globally_idle();
+    return mode_ != KernelMode::kLockstep && !sched_.any_active() &&
+           sched_.next_wake(now_) > now_;
   }
+
+  /// The scheduler that owns component `id` (the engine's own, or its
+  /// parallel lane's) and the id's index in it.
+  std::pair<Scheduler*, int> owner(int id);
 
   /// Jumps `now_` to the next wakeup, clamped to `deadline`.
   void skip_to_next_event(Cycle deadline);
 
   // --- Parallel kernel (engine_parallel.cpp). Once `configure_parallel`
-  // installed a runtime, the per-lane structures ARE the scheduler state;
-  // the global `active_`/`wheel_` above stay empty until teardown.
+  // installed a runtime, the per-lane schedulers ARE the scheduler state;
+  // the engine's `sched_` stays empty until teardown.
   void teardown_parallel();
   void distribute_to_lanes();
   void collect_from_lanes();
   void parallel_step();
-  void parallel_run(Cycle cycles);
-  bool parallel_run_until(const std::function<bool()>& done, Cycle max_cycles);
   bool parallel_globally_idle() const;
-  void parallel_skip(Cycle deadline);
+  Cycle parallel_next_wake() const;  ///< earliest pending wake of any lane
   void parallel_worker(ParallelRuntime* rt, int slot);
   using LanePhase = void (Engine::*)(ParallelRuntime&, int, Cycle);
   /// Runs `phase` over worker `slot`'s lanes; the first exception parks the
   /// slot (recorded in the runtime, rethrown by the coordinator).
   void run_slot(ParallelRuntime& rt, int slot, LanePhase phase, Cycle now);
-  void activate_lane(ParallelRuntime& rt, ParallelLane& lane, Cycle now);
   void run_lane_front(ParallelRuntime& rt, int lane_index, Cycle now);
   void run_lane_wave2(ParallelRuntime& rt, int lane_index, Cycle now);
+  /// Evaluates the lane's sweep entries [begin, end) in its context.
+  void eval_lane(ParallelLane& lane, int lane_index, Cycle now,
+                 std::vector<int>::const_iterator begin,
+                 std::vector<int>::const_iterator end);
   void finish_lane(ParallelRuntime& rt, int lane_index, Cycle now);
   void parallel_wake(ParallelEvalCtx& ctx, int id, Cycle effective);
   void parallel_commit_request(ParallelEvalCtx& ctx, int id);
-  void lane_wheel_push(int id, Cycle effective);
-  void lane_commit_extra_push(int id);
   void lane_add_active(int id);
 
   std::vector<Clocked*> components_;
   Cycle now_ = 0;
   KernelMode mode_ = KernelMode::kActivity;
 
-  // Activity-kernel state. `active_` is kept sorted by registration id so a
-  // partial sweep preserves lockstep's relative eval order (determinism).
-  // The flag vectors use unsigned char, not bool: under the parallel kernel
-  // distinct component ids are flipped from distinct threads, which needs
-  // distinct memory locations (vector<bool> packs bits).
-  std::vector<int> active_;
-  std::vector<unsigned char> is_active_;  ///< per component id
-  using WheelEntry = std::pair<Cycle, int>;  // (cycle, component id)
-  std::priority_queue<WheelEntry, std::vector<WheelEntry>,
-                      std::greater<WheelEntry>>
-      wheel_;
+  Scheduler sched_;  ///< activity-kernel active set + wakes, by component id
   std::vector<int> commit_extras_;  ///< dormant ids to commit this cycle
-  std::vector<unsigned char> commit_requested_;  ///< per id, cleared per cycle
-  std::vector<int> newly_active_;  ///< scratch for the activation merge
+  /// Per id, cleared per cycle. Bytes, not vector<bool>: under the parallel
+  /// kernel distinct lanes flip distinct ids from distinct threads.
+  std::vector<unsigned char> commit_requested_;
   bool stepping_ = false;  ///< inside step(): same-cycle wakes defer to now+1
 
   Stats stats_;

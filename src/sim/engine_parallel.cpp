@@ -24,11 +24,12 @@
 // barrier has `threads` parties and no thread idles through a wave.
 //
 // Determinism: within a lane everything runs in ascending id order; across
-// lanes the only shared state is (a) the flag bytes of per-lane component
-// ids (disjoint), (b) the staging buffers (single writer during waves,
-// single reader at commit, ordered by the barriers), and (c) component state
-// whose cross-wave access pattern the §5i pair argument shows to be
-// conflict-free. Wheels order on (cycle, id), so merge order is immaterial.
+// lanes the only shared state is (a) the commit-request bytes of per-lane
+// ids (disjoint; each lane has its own scheduler), (b) the staging buffers
+// (single writer during waves, single reader at commit, ordered by the
+// barriers), and (c) component state whose cross-wave access pattern the
+// §5i pair argument shows to be conflict-free. A wake is a bit per
+// (cycle, id), so merge order is immaterial.
 #include <algorithm>
 #include <exception>
 #include <stdexcept>
@@ -126,35 +127,40 @@ void Engine::teardown_parallel() {
 
 void Engine::distribute_to_lanes() {
   ParallelRuntime& rt = *runtime_;
-  for (const int id : active_) {
-    ParallelLane& lane = rt.lanes_[static_cast<std::size_t>(rt.lane_of(id))];
-    (rt.wave_of(id) == 1 ? lane.active1 : lane.active2).push_back(id);
+  // Local layout: each lane's wave-1 members, then its wave-2 members, each
+  // in id order (wave_of is 1 for every id past the plan).
+  rt.local_.resize(components_.size());
+  for (const int wave : {1, 2}) {
+    for (Clocked* c : components_) {
+      if (rt.wave_of(c->sched_id_) != wave) continue;
+      std::vector<Clocked*>& members = rt.lane(c->sched_id_).members;
+      rt.local_[static_cast<std::size_t>(c->sched_id_)] =
+          static_cast<int>(members.size());
+      members.push_back(c);
+    }
+    for (ParallelLane& lane : rt.lanes_) {
+      if (wave == 1) lane.wave2_begin = lane.members.size();
+      lane.sched.resize(lane.members.size());
+    }
   }
-  active_.clear();
-  while (!wheel_.empty()) {
-    const WheelEntry entry = wheel_.top();
-    wheel_.pop();
-    rt.lanes_[static_cast<std::size_t>(rt.lane_of(entry.second))].wheel.push(
-        entry);
-  }
-  for (const int id : commit_extras_) {
-    rt.lanes_[static_cast<std::size_t>(rt.lane_of(id))]
-        .commit_extras.push_back(id);
-  }
+  sched_.move_out(
+      now_,
+      [&](int id) { rt.lane(id).sched.activate(rt.local_of(id)); },
+      [&](int id, Cycle at) {
+        rt.lane(id).sched.post(rt.local_of(id), at, now_);
+      });
+  for (const int id : commit_extras_) rt.lane(id).commit_extras.push_back(id);
   commit_extras_.clear();
 }
 
 void Engine::collect_from_lanes() {
-  ParallelRuntime& rt = *runtime_;
-  for (ParallelLane& lane : rt.lanes_) {
-    active_.insert(active_.end(), lane.active1.begin(), lane.active1.end());
-    active_.insert(active_.end(), lane.active2.begin(), lane.active2.end());
-    lane.active1.clear();
-    lane.active2.clear();
-    while (!lane.wheel.empty()) {
-      wheel_.push(lane.wheel.top());
-      lane.wheel.pop();
-    }
+  for (ParallelLane& lane : runtime_->lanes_) {
+    const auto id = [&lane](int i) {
+      return lane.members[static_cast<std::size_t>(i)]->sched_id_;
+    };
+    lane.sched.move_out(
+        now_, [&](int i) { sched_.activate(id(i)); },
+        [&](int i, Cycle at) { sched_.post(id(i), at, now_); });
     commit_extras_.insert(commit_extras_.end(), lane.commit_extras.begin(),
                           lane.commit_extras.end());
     lane.commit_extras.clear();
@@ -163,27 +169,15 @@ void Engine::collect_from_lanes() {
     lane.evals = 0;
     lane.wakes = 0;
   }
-  std::sort(active_.begin(), active_.end());
 }
 
 std::size_t Engine::num_active() const {
-  if (runtime_ == nullptr) return active_.size();
+  if (runtime_ == nullptr) return sched_.num_active();
   std::size_t total = 0;
   for (const ParallelLane& lane : runtime_->lanes_) {
-    total += lane.active1.size() + lane.active2.size();
+    total += lane.sched.num_active();
   }
   return total;
-}
-
-Cycle Engine::next_wake() const {
-  if (runtime_ == nullptr) {
-    return wheel_.empty() ? kNeverCycle : wheel_.top().first;
-  }
-  Cycle next = kNeverCycle;
-  for (const ParallelLane& lane : runtime_->lanes_) {
-    if (!lane.wheel.empty()) next = std::min(next, lane.wheel.top().first);
-  }
-  return next;
 }
 
 Engine::Stats Engine::stats() const {
@@ -197,34 +191,28 @@ Engine::Stats Engine::stats() const {
   return total;
 }
 
-void Engine::lane_wheel_push(int id, Cycle effective) {
-  ParallelRuntime& rt = *runtime_;
-  rt.lanes_[static_cast<std::size_t>(rt.lane_of(id))].wheel.push(
-      {effective, id});
-}
-
-void Engine::lane_commit_extra_push(int id) {
-  ParallelRuntime& rt = *runtime_;
-  rt.lanes_[static_cast<std::size_t>(rt.lane_of(id))].commit_extras.push_back(
-      id);
-}
-
 void Engine::lane_add_active(int id) {
+  // Past the plan: the serial lane, all wave 1, and ids only grow, so the
+  // new member appends to both the lane's id order and its wave-1 range.
   ParallelRuntime& rt = *runtime_;
-  ParallelLane& lane = rt.lanes_[static_cast<std::size_t>(rt.lane_of(id))];
-  (rt.wave_of(id) == 1 ? lane.active1 : lane.active2).push_back(id);
+  ParallelLane& lane = rt.lane(id);
+  rt.local_.push_back(static_cast<int>(lane.members.size()));
+  lane.members.push_back(components_[static_cast<std::size_t>(id)]);
+  lane.wave2_begin = lane.members.size();
+  lane.sched.resize(lane.members.size());
+  lane.sched.activate(rt.local_of(id));
 }
 
 void Engine::parallel_wake(ParallelEvalCtx& ctx, int id, Cycle effective) {
   ParallelRuntime& rt = *runtime_;
   const int dst = rt.lane_of(id);
   if (dst == ctx.lane_index) {
-    ctx.lane->wheel.push({effective, id});
+    ctx.lane->sched.post(rt.local_of(id), effective, ctx.now);
     ++ctx.lane->wakes;
   } else {
     // Boundary wake: staged per (source lane, destination lane) edge and
-    // merged into the owner's wheel at the commit phase. The wheel orders on
-    // (cycle, id), so merge order cannot perturb the schedule.
+    // merged into the owner's scheduler at the commit phase. A wake is a
+    // bit per (cycle, id), so merge order cannot perturb the schedule.
     ctx.lane->wake_out[static_cast<std::size_t>(dst)].push_back(
         {effective, id});
   }
@@ -234,8 +222,8 @@ void Engine::parallel_commit_request(ParallelEvalCtx& ctx, int id) {
   ParallelRuntime& rt = *runtime_;
   const int dst = rt.lane_of(id);
   if (dst == ctx.lane_index) {
-    if (is_active_[static_cast<std::size_t>(id)] != 0 ||
-        commit_requested_[static_cast<std::size_t>(id)] != 0) {
+    if (commit_requested_[static_cast<std::size_t>(id)] != 0 ||
+        ctx.lane->sched.active(rt.local_of(id))) {
       return;
     }
     commit_requested_[static_cast<std::size_t>(id)] = 1;
@@ -249,69 +237,53 @@ void Engine::parallel_commit_request(ParallelEvalCtx& ctx, int id) {
   }
 }
 
-void Engine::activate_lane(ParallelRuntime& rt, ParallelLane& lane,
-                           Cycle now) {
-  while (!lane.wheel.empty() && lane.wheel.top().first <= now) {
-    const int id = lane.wheel.top().second;
-    lane.wheel.pop();
-    if (is_active_[static_cast<std::size_t>(id)] == 0) {
-      is_active_[static_cast<std::size_t>(id)] = 1;
-      (rt.wave_of(id) == 1 ? lane.newly1 : lane.newly2).push_back(id);
-    }
-  }
-  if (!lane.newly1.empty()) {
-    lane.active1.insert(lane.active1.end(), lane.newly1.begin(),
-                        lane.newly1.end());
-    std::sort(lane.active1.begin(), lane.active1.end());
-    lane.newly1.clear();
-  }
-  if (!lane.newly2.empty()) {
-    lane.active2.insert(lane.active2.end(), lane.newly2.begin(),
-                        lane.newly2.end());
-    std::sort(lane.active2.begin(), lane.active2.end());
-    lane.newly2.clear();
-  }
-}
-
 void Engine::run_lane_front(ParallelRuntime& rt, int lane_index, Cycle now) {
   ParallelLane& lane = rt.lanes_[static_cast<std::size_t>(lane_index)];
-  activate_lane(rt, lane, now);
-  ParallelEvalCtx ctx{this, &lane, lane_index, now};
-  detail::tl_parallel_ctx = &ctx;
-  for (const int id : lane.active1) {
-    components_[static_cast<std::size_t>(id)]->eval(now);
-  }
-  lane.evals += static_cast<std::int64_t>(lane.active1.size());
-  detail::tl_parallel_ctx = nullptr;
+  const std::vector<int>& sweep = lane.sched.start_cycle(now);
+  const auto wave2 = std::lower_bound(sweep.begin(), sweep.end(),
+                                      static_cast<int>(lane.wave2_begin));
+  lane.sweep_wave2 = static_cast<std::size_t>(wave2 - sweep.begin());
+  eval_lane(lane, lane_index, now, sweep.begin(), wave2);
 }
 
 void Engine::run_lane_wave2(ParallelRuntime& rt, int lane_index, Cycle now) {
   ParallelLane& lane = rt.lanes_[static_cast<std::size_t>(lane_index)];
+  const std::vector<int>& sweep = lane.sched.sweep();
+  eval_lane(lane, lane_index, now,
+            sweep.begin() + static_cast<std::ptrdiff_t>(lane.sweep_wave2),
+            sweep.end());
+}
+
+void Engine::eval_lane(ParallelLane& lane, int lane_index, Cycle now,
+                       std::vector<int>::const_iterator begin,
+                       std::vector<int>::const_iterator end) {
   ParallelEvalCtx ctx{this, &lane, lane_index, now};
   detail::tl_parallel_ctx = &ctx;
-  for (const int id : lane.active2) {
-    components_[static_cast<std::size_t>(id)]->eval(now);
+  for (auto it = begin; it != end; ++it) {
+    lane.members[static_cast<std::size_t>(*it)]->eval(now);
   }
-  lane.evals += static_cast<std::int64_t>(lane.active2.size());
+  lane.evals += end - begin;
   detail::tl_parallel_ctx = nullptr;
 }
 
 void Engine::finish_lane(ParallelRuntime& rt, int lane_index, Cycle now) {
   ParallelLane& lane = rt.lanes_[static_cast<std::size_t>(lane_index)];
   // Merge the boundary staging buffers published for this lane. Commit
-  // requests deduplicate here against the owner's flag bytes, matching the
+  // requests deduplicate here against the owner's flags, matching the
   // sequential kernel's enqueue-time dedup (set membership is identical;
   // only commit order within the set differs, and commits are
   // component-local).
   for (ParallelLane& src : rt.lanes_) {
     auto& wakes = src.wake_out[static_cast<std::size_t>(lane_index)];
-    for (const ParallelLane::WakeEntry& entry : wakes) lane.wheel.push(entry);
+    for (const auto& [at, id] : wakes) {
+      lane.sched.post(rt.local_of(id), at, now);
+    }
     lane.wakes += static_cast<std::int64_t>(wakes.size());
     wakes.clear();
     auto& requests = src.commit_out[static_cast<std::size_t>(lane_index)];
     for (const int id : requests) {
-      if (is_active_[static_cast<std::size_t>(id)] != 0 ||
-          commit_requested_[static_cast<std::size_t>(id)] != 0) {
+      if (commit_requested_[static_cast<std::size_t>(id)] != 0 ||
+          lane.sched.active(rt.local_of(id))) {
         continue;
       }
       commit_requested_[static_cast<std::size_t>(id)] = 1;
@@ -319,51 +291,26 @@ void Engine::finish_lane(ParallelRuntime& rt, int lane_index, Cycle now) {
     }
     requests.clear();
   }
+  const auto member = [&lane](int i) {
+    return lane.members[static_cast<std::size_t>(i)];
+  };
   ParallelEvalCtx ctx{this, &lane, lane_index, now};
   detail::tl_parallel_ctx = &ctx;
-  for (const int id : lane.active1) {
-    components_[static_cast<std::size_t>(id)]->commit(now);
-  }
-  for (const int id : lane.active2) {
-    components_[static_cast<std::size_t>(id)]->commit(now);
-  }
+  for (const int i : lane.sched.sweep()) member(i)->commit(now);
   for (const int id : lane.commit_extras) {
     components_[static_cast<std::size_t>(id)]->commit(now);
     commit_requested_[static_cast<std::size_t>(id)] = 0;
   }
   // Retire actives that fell idle; promote extras whose freshly latched
   // state leaves them non-idle — same rules as step_activity.
-  const auto retire = [this](std::vector<int>& list) {
-    std::size_t keep = 0;
-    for (const int id : list) {
-      if (components_[static_cast<std::size_t>(id)]->is_idle()) {
-        is_active_[static_cast<std::size_t>(id)] = 0;
-      } else {
-        list[keep++] = id;
-      }
-    }
-    list.resize(keep);
-  };
-  retire(lane.active1);
-  retire(lane.active2);
-  bool sort1 = false;
-  bool sort2 = false;
+  lane.sched.retire_if([&](int i) { return member(i)->is_idle(); });
   for (const int id : lane.commit_extras) {
-    if (is_active_[static_cast<std::size_t>(id)] == 0 &&
-        !components_[static_cast<std::size_t>(id)]->is_idle()) {
-      is_active_[static_cast<std::size_t>(id)] = 1;
-      if (rt.wave_of(id) == 1) {
-        lane.active1.push_back(id);
-        sort1 = true;
-      } else {
-        lane.active2.push_back(id);
-        sort2 = true;
-      }
+    const int i = rt.local_of(id);
+    if (!lane.sched.active(i) && !member(i)->is_idle()) {
+      lane.sched.activate(i);
     }
   }
   lane.commit_extras.clear();
-  if (sort1) std::sort(lane.active1.begin(), lane.active1.end());
-  if (sort2) std::sort(lane.active2.begin(), lane.active2.end());
   detail::tl_parallel_ctx = nullptr;
 }
 
@@ -402,6 +349,25 @@ void Engine::parallel_worker(ParallelRuntime* rt, int slot) {
   }
 }
 
+namespace {
+/// Rethrows the first captured error (coordinator first, then slot order).
+void rethrow_runtime_error(std::exception_ptr& coord,
+                           std::vector<std::exception_ptr>& workers) {
+  if (coord != nullptr) {
+    std::exception_ptr error = coord;
+    coord = nullptr;
+    std::rethrow_exception(error);
+  }
+  for (std::exception_ptr& worker : workers) {
+    if (worker != nullptr) {
+      std::exception_ptr error = worker;
+      worker = nullptr;
+      std::rethrow_exception(error);
+    }
+  }
+}
+}  // namespace
+
 void Engine::parallel_step() {
   ParallelRuntime& rt = *runtime_;
   rt.command_.store(ParallelRuntime::Command::kStep,
@@ -433,99 +399,31 @@ void Engine::parallel_step() {
       rt.failed_.store(true, std::memory_order_relaxed);
     }
   }
-  rt.barrier_.arrive_and_wait();  // E — cycle complete
+  rt.barrier_.arrive_and_wait();  // E — cycle complete; workers park at A
   stepping_ = false;
   ++stats_.cycles_stepped;
   ++now_;
+  if (rt.failed_.load(std::memory_order_relaxed)) {
+    rt.failed_.store(false, std::memory_order_relaxed);
+    rethrow_runtime_error(rt.coordinator_error_, rt.worker_errors_);
+  }
 }
 
 bool Engine::parallel_globally_idle() const {
   for (const ParallelLane& lane : runtime_->lanes_) {
-    if (!lane.active1.empty() || !lane.active2.empty()) return false;
-    if (!lane.wheel.empty() && lane.wheel.top().first <= now_) return false;
+    if (lane.sched.any_active() || lane.sched.next_wake(now_) <= now_) {
+      return false;
+    }
   }
   return true;
 }
 
-void Engine::parallel_skip(Cycle deadline) {
-  Cycle target = deadline;
+Cycle Engine::parallel_next_wake() const {
+  Cycle next = kNeverCycle;
   for (const ParallelLane& lane : runtime_->lanes_) {
-    if (!lane.wheel.empty()) target = std::min(target, lane.wheel.top().first);
+    next = std::min(next, lane.sched.next_wake(now_));
   }
-  if (target > now_) {
-    stats_.cycles_skipped += target - now_;
-    now_ = target;
-  }
-}
-
-namespace {
-/// Rethrows the first captured error (coordinator first, then slot order).
-void rethrow_runtime_error(ParallelRuntime& rt, std::exception_ptr& coord,
-                           std::vector<std::exception_ptr>& workers) {
-  (void)rt;
-  if (coord != nullptr) {
-    std::exception_ptr error = coord;
-    coord = nullptr;
-    std::rethrow_exception(error);
-  }
-  for (std::exception_ptr& worker : workers) {
-    if (worker != nullptr) {
-      std::exception_ptr error = worker;
-      worker = nullptr;
-      std::rethrow_exception(error);
-    }
-  }
-}
-}  // namespace
-
-void Engine::parallel_run(Cycle cycles) {
-  ParallelRuntime& rt = *runtime_;
-  const Cycle deadline = now_ + cycles;
-  while (now_ < deadline) {
-    if (parallel_globally_idle()) {
-      parallel_skip(deadline);
-    } else {
-      parallel_step();
-      if (rt.failed_.load(std::memory_order_relaxed)) break;
-    }
-  }
-  if (rt.failed_.load(std::memory_order_relaxed)) {
-    rt.failed_.store(false, std::memory_order_relaxed);
-    rethrow_runtime_error(rt, rt.coordinator_error_, rt.worker_errors_);
-  }
-  settle();  // workers are parked at barrier A
-}
-
-bool Engine::parallel_run_until(const std::function<bool()>& done,
-                                Cycle max_cycles) {
-  ParallelRuntime& rt = *runtime_;
-  const Cycle deadline = now_ + max_cycles;
-  bool fired = false;
-  while (now_ < deadline) {
-    if (parallel_globally_idle()) {
-      // Same contract as the sequential activity kernel: one check settles
-      // the whole idle gap; a true predicate consumes one (no-op) cycle.
-      if (done()) {
-        ++now_;
-        fired = true;
-        break;
-      }
-      parallel_skip(deadline);
-      continue;
-    }
-    parallel_step();
-    if (rt.failed_.load(std::memory_order_relaxed)) break;
-    if (done()) {
-      fired = true;
-      break;
-    }
-  }
-  if (rt.failed_.load(std::memory_order_relaxed)) {
-    rt.failed_.store(false, std::memory_order_relaxed);
-    rethrow_runtime_error(rt, rt.coordinator_error_, rt.worker_errors_);
-  }
-  settle();  // workers are parked at barrier A
-  return fired;
+  return next;
 }
 
 }  // namespace ownsim

@@ -22,7 +22,7 @@
 // Cross-partition wakes and commit requests raised during a wave are not
 // applied directly — they are appended to per-edge staging buffers
 // (`wake_out` / `commit_out`, the "boundary exchange") and merged into the
-// owning partition's wheel/extras at the commit phase, exactly where the
+// owning partition's scheduler/extras at the commit phase, exactly where the
 // sequential kernel would have observed them.
 #pragma once
 
@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <future>
 #include <optional>
-#include <queue>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -38,9 +37,11 @@
 #include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 #include "exec/thread_pool.hpp"
+#include "sim/scheduler.hpp"
 
 namespace ownsim {
 
+class Clocked;
 class Engine;
 
 /// Static assignment of engine component ids to partitions and waves.
@@ -104,13 +105,14 @@ class PhaseBarrier {
 struct ParallelLane {
   using WakeEntry = std::pair<Cycle, int>;  // (cycle, component id)
 
-  std::vector<int> active1;  ///< wave-1 actives, sorted by id
-  std::vector<int> active2;  ///< wave-2 actives, sorted by id
-  std::priority_queue<WakeEntry, std::vector<WakeEntry>,
-                      std::greater<WakeEntry>>
-      wheel;
-  std::vector<int> newly1;  ///< scratch for the activation merge
-  std::vector<int> newly2;
+  /// Component per local index: the wave-1 members in id order, then the
+  /// wave-2 members in id order, so each wave is one ascending sweep.
+  std::vector<Clocked*> members;
+  std::size_t wave2_begin = 0;  ///< first wave-2 local index
+  std::size_t sweep_wave2 = 0;  ///< first wave-2 entry of this cycle's sweep
+  /// Active set + wakes over local indices. Only this lane's evaluator
+  /// touches it, so lanes on different threads never share a bitset word.
+  Scheduler sched;
   std::vector<int> commit_extras;  ///< dormant ids to commit this cycle
   std::int64_t evals = 0;          ///< folded into Engine::Stats on demand
   std::int64_t wakes = 0;
@@ -126,7 +128,7 @@ struct ParallelLane {
 
 /// Thread-local evaluation context installed while a lane's components run.
 /// Clocked::request_wake / request_commit route through it so boundary
-/// traffic lands in the staging buffers instead of the shared wheel.
+/// traffic lands in the staging buffers instead of another lane's scheduler.
 struct ParallelEvalCtx {
   Engine* engine = nullptr;
   ParallelLane* lane = nullptr;
@@ -171,6 +173,10 @@ class ParallelRuntime {
     const auto index = static_cast<std::size_t>(id);
     return index < plan_.wave.size() ? plan_.wave[index] : 1;
   }
+  ParallelLane& lane(int id) {
+    return lanes_[static_cast<std::size_t>(lane_of(id))];
+  }
+  int local_of(int id) const { return local_[static_cast<std::size_t>(id)]; }
 
  private:
   friend class Engine;
@@ -180,6 +186,7 @@ class ParallelRuntime {
   Engine* engine_;
   ParallelPlan plan_;
   std::vector<ParallelLane> lanes_;  ///< size num_lanes(); serial lane last
+  std::vector<int> local_;  ///< per component id: its index in its lane
   /// First exception per worker slot; written by the owning slot during a
   /// phase, read by the coordinator after the end-of-cycle barrier.
   std::vector<std::exception_ptr> worker_errors_;

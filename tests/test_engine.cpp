@@ -1,9 +1,12 @@
 // Unit tests for the two-phase cycle engine: lockstep mechanics, the
-// activity-driven kernel (idle retirement, wake wheel, skip-ahead), and
+// activity-driven kernel (idle retirement, wake ring, skip-ahead), and
 // paired lockstep-vs-activity runs that pin down the bit-identity contract
 // of DESIGN.md §5e on real networks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,6 +21,7 @@
 #include "topology/registry.hpp"
 #include "traffic/injector.hpp"
 #include "traffic/patterns.hpp"
+#include "traffic/trace.hpp"
 
 namespace ownsim {
 namespace {
@@ -129,16 +133,21 @@ TEST(Engine, WakeReactivatesDormantComponent) {
   EXPECT_EQ(s.evals, (std::vector<Cycle>{0}));
 
   s.request_wake(8);
-  EXPECT_EQ(engine.next_wake(), 8);
-  engine.run(10);  // deadline 12: skip 2..7, eval at 8, skip 9..11
+  const std::int64_t skipped = engine.stats().cycles_skipped;
+  engine.run(6);  // nothing is due before 8: one jump over 2..7
+  EXPECT_EQ(engine.now(), 8);
+  EXPECT_EQ(engine.stats().cycles_skipped - skipped, 6);
+  EXPECT_EQ(s.evals, (std::vector<Cycle>{0}));
+  engine.run(4);  // deadline 12: eval at 8, skip 9..11
   EXPECT_EQ(s.evals, (std::vector<Cycle>{0, 8}));
   EXPECT_EQ(engine.now(), 12);
+  EXPECT_EQ(engine.stats().cycles_skipped - skipped, 9);
   EXPECT_EQ(engine.num_active(), 0u);
 }
 
 TEST(Engine, MidEvalSelfWakeLandsOnRequestedCycle) {
   // A component that re-arms itself from inside eval() (the injector
-  // pattern): always-idle, so only the wheel keeps it running.
+  // pattern): always-idle, so only its wakes keep it running.
   struct SelfWaker final : Clocked {
     int remaining = 3;
     std::vector<Cycle> evals;
@@ -169,6 +178,232 @@ TEST(Engine, StepNeverSkipsCycles) {
   for (int i = 0; i < 5; ++i) engine.step();
   EXPECT_EQ(engine.now(), 5);
   EXPECT_EQ(engine.stats().cycles_skipped, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The scheduler's edges (sim/scheduler.hpp): wakes on either side of the
+// wake ring's horizon, idle gaps across a ring wrap, duplicate wakes and
+// commit-extra promotion. Each scenario runs under lockstep too, which
+// evaluates everything every cycle and so gives the reference schedule.
+
+/// Dormant between its due cycles. At a due cycle it logs the cycle and posts
+/// the follow-up wakes planned for it, from inside its eval.
+struct Timer final : Clocked {
+  std::multimap<Cycle, Cycle> plan;  ///< due cycle -> follow-up wake
+  std::set<Cycle> due;
+  std::vector<Cycle> log;    ///< due cycles it ran at
+  std::vector<Cycle> evals;  ///< every eval
+  void wake_at(Cycle at) {
+    due.insert(at);
+    request_wake(at);
+  }
+  void eval(Cycle now) override {
+    evals.push_back(now);
+    if (due.erase(now) == 0) return;
+    log.push_back(now);
+    const auto [begin, end] = plan.equal_range(now);
+    for (auto it = begin; it != end; ++it) wake_at(it->second);
+  }
+  void commit(Cycle) override {}
+  bool is_idle() const override { return true; }
+};
+
+struct TimerRun {
+  std::vector<Cycle> log;
+  std::vector<Cycle> evals;
+  Engine::Stats stats;
+  Cycle now = 0;
+};
+
+template <typename Scenario>
+TimerRun run_timer(KernelMode mode, const Scenario& scenario) {
+  Engine engine;
+  engine.set_mode(mode);
+  Timer timer;
+  engine.add(&timer);
+  scenario(engine, timer);
+  return {timer.log, timer.evals, engine.stats(), engine.now()};
+}
+
+/// Runs `scenario` under both kernels and returns the activity run after
+/// checking it against lockstep: the same due cycles, and no eval besides
+/// them and cycle 0 (every new component starts active).
+template <typename Scenario>
+TimerRun expect_lockstep_schedule(const Scenario& scenario) {
+  const TimerRun lockstep = run_timer(KernelMode::kLockstep, scenario);
+  const TimerRun activity = run_timer(KernelMode::kActivity, scenario);
+  EXPECT_EQ(activity.log, lockstep.log);
+  EXPECT_EQ(activity.now, lockstep.now);
+  std::vector<Cycle> expected = activity.log;
+  if (expected.empty() || expected.front() != 0) {
+    expected.insert(expected.begin(), 0);
+  }
+  EXPECT_EQ(activity.evals, expected);
+  return activity;
+}
+
+TEST(Scheduler, WakesAcrossTheRingHorizon) {
+  // +63 lands in the ring; +64, +65 and +1000 go to the overflow heap. Once
+  // posted between steps (from cycle 5), once from inside an eval (at 68).
+  const TimerRun run = expect_lockstep_schedule([](Engine& engine, Timer& t) {
+    engine.run(5);
+    for (const Cycle ahead : {63, 64, 65, 1000}) {
+      t.wake_at(5 + ahead);
+      t.plan.emplace(68, 68 + ahead);
+    }
+    engine.run(2200);
+  });
+  EXPECT_EQ(run.log,
+            (std::vector<Cycle>{68, 69, 70, 131, 132, 133, 1005, 1068}));
+  EXPECT_EQ(run.stats.wakes, 8);
+}
+
+TEST(Scheduler, IdleGapSkipsAcrossARingWrap) {
+  // The gap 111..139 crosses the wrap at cycle 128. Before it: 110 from the
+  // ring (posted 50 ahead at 60) and 100 from the overflow heap (posted 99
+  // ahead at 1); after it: 150 from the ring (posted 50 ahead at 100) and
+  // 140 from the overflow heap (posted 139 ahead at 1).
+  const TimerRun run = expect_lockstep_schedule([](Engine& engine, Timer& t) {
+    engine.run(1);
+    t.wake_at(60);
+    t.wake_at(100);
+    t.wake_at(140);
+    t.plan = {{60, 110}, {100, 150}};
+    engine.run(200);
+  });
+  EXPECT_EQ(run.log, (std::vector<Cycle>{60, 100, 110, 140, 150}));
+  EXPECT_EQ(run.stats.cycles_stepped, 6);  // the five due cycles and 0
+  EXPECT_EQ(run.stats.cycles_skipped, run.now - 6);
+}
+
+TEST(Scheduler, DuplicateWakesEvaluateOnce) {
+  // Two wakes for one cycle, plus a wake for a component that is active
+  // anyway: one eval each at cycle 9, and all three wakes are counted.
+  struct Run {
+    std::vector<Cycle> log, timer_evals, busy_evals;
+    Engine::Stats stats;
+  };
+  const auto run = [](KernelMode mode) {
+    Engine engine;
+    engine.set_mode(mode);
+    Timer timer;
+    Sleeper busy;
+    engine.add(&timer);
+    engine.add(&busy);
+    engine.run(5);
+    timer.wake_at(9);
+    timer.request_wake(9);
+    busy.request_wake(9);
+    engine.run(10);
+    return Run{timer.log, timer.evals, busy.evals, engine.stats()};
+  };
+  const Run lockstep = run(KernelMode::kLockstep);
+  const Run activity = run(KernelMode::kActivity);
+  EXPECT_EQ(activity.log, (std::vector<Cycle>{9}));
+  EXPECT_EQ(activity.log, lockstep.log);
+  EXPECT_EQ(activity.timer_evals, (std::vector<Cycle>{0, 9}));
+  EXPECT_EQ(activity.busy_evals, lockstep.busy_evals);  // once per cycle
+  EXPECT_EQ(activity.stats.wakes, 3);
+}
+
+TEST(Scheduler, PromotedCommitExtraEvaluatesInIdOrder) {
+  // Worker 0 stages a write into the dormant mailbox 1 at cycle 2; the
+  // mailbox commits as an extra, turns non-idle and is promoted. At cycle 3
+  // it must evaluate between workers 0 and 2, as lockstep does.
+  using Log = std::vector<std::pair<Cycle, int>>;
+  struct Mailbox final : Clocked {
+    Log* log = nullptr;
+    bool staged = false;
+    bool latched = false;
+    void stage() {
+      staged = true;
+      request_commit();
+    }
+    void eval(Cycle now) override {
+      if (latched) log->emplace_back(now, 1);
+      latched = false;
+    }
+    void commit(Cycle) override {
+      latched = staged;
+      staged = false;
+    }
+    bool is_idle() const override { return !latched && !staged; }
+  };
+  struct Worker final : Clocked {
+    Log* log = nullptr;
+    int name = 0;
+    Mailbox* target = nullptr;
+    void eval(Cycle now) override {
+      log->emplace_back(now, name);
+      if (target != nullptr && now == 2) target->stage();
+    }
+    void commit(Cycle) override {}
+    bool is_idle() const override { return false; }
+  };
+  const auto run = [](KernelMode mode) {
+    Log log;
+    Engine engine;
+    engine.set_mode(mode);
+    Worker first;
+    Mailbox mailbox;
+    Worker last;
+    first.log = mailbox.log = last.log = &log;
+    first.target = &mailbox;
+    last.name = 2;
+    engine.add(&first);
+    engine.add(&mailbox);
+    engine.add(&last);
+    engine.run(5);
+    return log;
+  };
+  const Log activity = run(KernelMode::kActivity);
+  EXPECT_EQ(activity, run(KernelMode::kLockstep));
+  const Log cycle3{{3, 0}, {3, 1}, {3, 2}};
+  EXPECT_NE(std::search(activity.begin(), activity.end(), cycle3.begin(),
+                        cycle3.end()),
+            activity.end());
+}
+
+TEST(Scheduler, RetireAsksIdlenessAfterEveryCommit) {
+  // The reader (id 0) is busy while the writer (id 1) has latched a
+  // message. Both run at cycle 3: the reader's eval sees nothing yet, then
+  // the writer's commit latches. Only an idleness check after both commits
+  // keeps the reader active to take the message at cycle 4, as lockstep does.
+  struct Reader final : Clocked {
+    bool* message = nullptr;
+    std::vector<Cycle> taken;
+    void eval(Cycle now) override {
+      if (*message) taken.push_back(now);
+      *message = false;
+    }
+    void commit(Cycle) override {}
+    bool is_idle() const override { return !*message; }
+  };
+  struct Writer final : Clocked {
+    bool* message = nullptr;
+    bool staged = false;
+    void eval(Cycle now) override { staged = now == 3; }
+    void commit(Cycle) override {
+      if (staged) *message = true;
+    }
+    bool is_idle() const override { return true; }
+  };
+  const auto run = [](KernelMode mode) {
+    bool message = false;
+    Engine engine;
+    engine.set_mode(mode);
+    Reader reader;
+    Writer writer;
+    reader.message = writer.message = &message;
+    engine.add(&reader);
+    engine.add(&writer);
+    reader.request_wake(3);
+    writer.request_wake(3);
+    engine.run(8);
+    return reader.taken;
+  };
+  EXPECT_EQ(run(KernelMode::kLockstep), (std::vector<Cycle>{4}));
+  EXPECT_EQ(run(KernelMode::kActivity), (std::vector<Cycle>{4}));
 }
 
 // ---------------------------------------------------------------------------
@@ -322,6 +557,49 @@ TEST(KernelParity, DrainPhaseSkipsAhead) {
   EXPECT_TRUE(deterministic_eq(lockstep, activity));
   EXPECT_GT(stats.cycles_skipped, 0);
   EXPECT_LT(stats.cycles_stepped, activity.cycles_simulated);
+}
+
+/// OWN-256 replaying `trace` until drained under `mode` (4 threads for the
+/// parallel kernel); the final cycle, report JSON and every obs counter.
+std::string bursty_replay_report(KernelMode mode, const Trace& trace) {
+  TopologyOptions options;
+  options.num_cores = 256;
+  Network network(build_topology(TopologyKind::kOwn, options));
+  network.engine().set_mode(mode);
+  if (mode == KernelMode::kParallel) network.configure_parallel(4);
+  TraceInjector injector(&network, trace);
+  injector.set_measure_window(0, kNeverCycle);
+  network.engine().add(&injector);
+  const bool drained = network.engine().run_until(
+      [&] { return injector.finished() && network.drained(); }, 40000);
+  EXPECT_TRUE(drained) << to_string(mode);
+  std::ostringstream report;
+  report << "cycle " << network.engine().now() << '\n'
+         << NetworkReport(network).to_json().dump();
+  network.obs().write_json(report);
+  return report.str();
+}
+
+TEST(KernelParity, BurstyTraceReplay) {
+  // Sparse on/off traffic: the injector's next record is often more than
+  // the scheduler's 64-cycle ring horizon away, so its wakes take the
+  // overflow heap, and the idle gaps between bursts skip across ring wraps.
+  BurstyTraceParams params;
+  params.num_nodes = 256;
+  params.duration = 8000;
+  params.on_rate = 0.0005;
+  params.seed = 11;
+  const Trace trace = generate_bursty_trace(params);
+  Cycle longest_gap = 0;
+  for (std::size_t i = 1; i < trace.size(); ++i) {
+    longest_gap = std::max(longest_gap, trace.records()[i].cycle -
+                                            trace.records()[i - 1].cycle);
+  }
+  ASSERT_GT(longest_gap, Scheduler::kHorizon);
+  const std::string lockstep =
+      bursty_replay_report(KernelMode::kLockstep, trace);
+  EXPECT_EQ(lockstep, bursty_replay_report(KernelMode::kActivity, trace));
+  EXPECT_EQ(lockstep, bursty_replay_report(KernelMode::kParallel, trace));
 }
 
 }  // namespace

@@ -147,6 +147,33 @@ TEST(ParallelEngine, SetModeTearsDownRuntime) {
   EXPECT_EQ(p.evals, (std::vector<Cycle>{0, 1}));
 }
 
+TEST(ParallelEngine, PendingWakesMoveIntoAndOutOfTheLanes) {
+  // Wakes pending when the plan is installed move into the owning lanes,
+  // and back when set_mode leaves kParallel: one inside the wake ring's
+  // horizon and one in its overflow heap, for components in both partitions.
+  for (const bool teardown : {false, true}) {
+    Engine engine;
+    engine.set_mode(KernelMode::kParallel);
+    Sleeper a, b;
+    a.idle = true;
+    b.idle = true;
+    engine.add(&a);
+    engine.add(&b);
+    if (teardown) engine.configure_parallel(two_partition_plan(2), 2);
+    a.request_wake(10);
+    b.request_wake(100);
+    if (teardown) {
+      engine.set_mode(KernelMode::kActivity);
+    } else {
+      engine.configure_parallel(two_partition_plan(2), 2);
+    }
+    engine.run(200);
+    EXPECT_EQ(a.evals, (std::vector<Cycle>{0, 10})) << teardown;
+    EXPECT_EQ(b.evals, (std::vector<Cycle>{0, 100})) << teardown;
+    EXPECT_EQ(engine.stats().wakes, 2) << teardown;
+  }
+}
+
 TEST(ParallelEngine, LateAddedComponentsJoinSerialLane) {
   // Components registered after configure_parallel (the driver extras:
   // injector, campaign, watchdog) have ids past the plan and must run in
@@ -263,7 +290,7 @@ ExperimentConfig campaign_experiment(fault::CampaignConfig fault) {
 TEST(ParallelParity, TransientCorruptionCampaignIsByteIdentical) {
   // Stress BER: NACKed copies retransmit, so flits arrive at partition
   // boundaries out of send order (non-monotone cycles on one edge). The
-  // staging-buffer merge must still reproduce the sequential wheel order.
+  // staging-buffer merge must still reproduce the sequential wake schedule.
   fault::CampaignConfig fault;
   fault.margin = Decibels{-8.0};
   const ExperimentConfig config = campaign_experiment(fault);
