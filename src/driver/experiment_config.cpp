@@ -5,10 +5,12 @@
 #include <concepts>
 #include <initializer_list>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "common/sha256.hpp"
 #include "metrics/report.hpp"
+#include "network/spec.hpp"
 #include "serve/json.hpp"
 #include "topofile/topofile.hpp"
 
@@ -358,6 +360,16 @@ ExperimentConfig parse_experiment_config(
   }
   if (config.options.flit_bits <= 0) {
     throw std::invalid_argument("flit_bits: want > 0");
+  }
+  if (config.options.num_vcs < 1 ||
+      config.options.num_vcs > Router::kMaxVcs) {
+    throw std::invalid_argument("vcs: want 1.." +
+                                std::to_string(Router::kMaxVcs));
+  }
+  if (config.options.buffer_depth < 1 ||
+      config.options.buffer_depth > NetworkSpec::kMaxBufferDepth) {
+    throw std::invalid_argument("buffer_depth: want 1.." +
+                                std::to_string(NetworkSpec::kMaxBufferDepth));
   }
   if (args.contains("fault_kill")) {
     config.fault.events.push_back(

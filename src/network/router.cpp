@@ -1,5 +1,6 @@
 #include "network/router.hpp"
 
+#include <bit>
 #include <cassert>
 #include <ostream>
 #include <stdexcept>
@@ -12,6 +13,9 @@ Router::Router(Params params, const std::vector<VcClassRange>* classes,
     : params_(params), classes_(classes), oracle_(oracle) {
   if (params_.num_inputs < 1 || params_.num_outputs < 1) {
     throw std::invalid_argument("Router: needs >=1 input and output port");
+  }
+  if (params_.num_vcs < 1 || params_.num_vcs > kMaxVcs) {
+    throw std::invalid_argument("Router: num_vcs must be in [1, 64]");
   }
   if (classes_ == nullptr || oracle_ == nullptr) {
     throw std::invalid_argument("Router: classes and oracle must not be null");
@@ -74,9 +78,20 @@ void Router::eval(Cycle now) {
   stage_intake(now);
   stage_switch(now);
   stage_vca(now);
-  stage_rc(now);
-  stage_detect(now);
+  stage_rc();
+  // Detect, after RC: the idle VCs that intake or a tail pop left holding a
+  // head (both already set progressed_) start RC next cycle.
+  for (auto& port : inputs_) {
+    for (std::uint64_t m = port.detect; m != 0; m &= m - 1) {
+      auto& vc = port.vcs[static_cast<std::size_t>(std::countr_zero(m))];
+      assert(vc.buffer.front().head && "body flit at idle VC head");
+      vc.state = VcState::kRouting;
+    }
+    port.routing |= port.detect;
+    port.detect = 0;
+  }
   stalled_ = scheduled() && occupancy_ > 0 && !progressed_;
+  assert(masks_match_states());
 }
 
 void Router::stage_intake(Cycle now) {
@@ -87,6 +102,8 @@ void Router::stage_intake(Cycle now) {
     auto& vc = port.vcs.at(static_cast<std::size_t>(flit->vc));
     assert(!vc.buffer.full() && "credit protocol violated");
     vc.buffer.push(*flit);
+    if (vc.state == VcState::kActive) port.ready |= bit(flit->vc);
+    if (vc.state == VcState::kIdle) port.detect |= bit(flit->vc);
     port.endpoint->pop(now);
     progressed_ = true;
     ++occupancy_;
@@ -96,17 +113,18 @@ void Router::stage_intake(Cycle now) {
 }
 
 void Router::stage_switch(Cycle now) {
-  // SA stage 1: each input port nominates one ACTIVE VC with a sendable flit.
+  // SA stage 1: each input nominates one ready VC with a sendable flit, from
+  // rr_vc up, then below it (the order of `ready` rotated right by rr_vc).
+  // The front flit takes its downstream VC in place; its input VC is v.
   sa_winners_.clear();
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
     auto& port = inputs_[i];
     sa_request_[i] = -1;
-    const int nvc = static_cast<int>(port.vcs.size());
-    for (int k = 0; k < nvc; ++k) {
-      const int v = (port.rr_vc + k) % nvc;
+    for (std::uint64_t m = std::rotr(port.ready, port.rr_vc); m != 0;
+         m &= m - 1) {
+      const int v = (std::countr_zero(m) + port.rr_vc) & (kMaxVcs - 1);
       auto& vc = port.vcs[static_cast<std::size_t>(v)];
-      if (vc.state != VcState::kActive || vc.buffer.empty()) continue;
-      Flit flit = vc.buffer.front();
+      Flit& flit = vc.buffer.front();
       flit.vc = vc.out_vc;
       auto* out = outputs_[static_cast<std::size_t>(vc.route.out_port)].endpoint;
       if (out != nullptr && out->can_accept(flit, now)) {
@@ -126,7 +144,8 @@ void Router::stage_switch(Cycle now) {
     const auto& vc =
         inputs_[static_cast<std::size_t>(i)].vcs[static_cast<std::size_t>(v)];
     const auto o = static_cast<std::size_t>(vc.route.out_port);
-    const int key = (i - outputs_[o].rr_input + n_in) % n_in;
+    const int rr = outputs_[o].rr_input;
+    const int key = i < rr ? i - rr + n_in : i - rr;
     if (grant_key_[o] < 0) granted_outputs_.push_back(static_cast<int>(o));
     if (grant_key_[o] < 0 || key < grant_key_[o]) {
       grant_key_[o] = key;
@@ -143,14 +162,12 @@ void Router::stage_switch(Cycle now) {
     const int v = sa_request_[static_cast<std::size_t>(i)];
     auto& vc = port.vcs[static_cast<std::size_t>(v)];
 
-    Flit flit = vc.buffer.pop();
+    Flit flit = vc.buffer.pop();  // flit.vc is out_vc since stage 1
     progressed_ = true;
     --occupancy_;
-    const VcId arrived_vc = flit.vc;  // VC on the upstream link (for credit)
-    flit.vc = vc.out_vc;
     ++flit.hops;
     out.endpoint->accept(flit, now);
-    port.endpoint->push_credit(arrived_vc, now);
+    port.endpoint->push_credit(v, now);  // v: the VC it arrived on
 
     ++counters_.buffer_reads;
     ++counters_.crossbar_flits;
@@ -158,12 +175,14 @@ void Router::stage_switch(Cycle now) {
     ++counters_.switch_allocations;
     obs_flits_forwarded_.inc();
 
-    port.rr_vc = (v + 1) % static_cast<int>(port.vcs.size());
-    out.rr_input = (i + 1) % n_in;
+    port.rr_vc = v + 1 == params_.num_vcs ? 0 : v + 1;
+    out.rr_input = i + 1 == n_in ? 0 : i + 1;
 
+    if (flit.tail || vc.buffer.empty()) port.ready &= ~bit(v);
     if (flit.tail) {
       vc.state = VcState::kIdle;
       vc.out_vc = kInvalidId;
+      if (!vc.buffer.empty()) port.detect |= bit(v);
     }
   }
   // Inputs that nominated a VC this cycle but lost stage-2 arbitration
@@ -174,35 +193,41 @@ void Router::stage_switch(Cycle now) {
 }
 
 void Router::stage_vca(Cycle now) {
-  // Separable VCA: walk input VCs starting from a rotating offset; each
-  // requester asks its output endpoint for a downstream VC of the packet's
-  // class. Endpoints grant first-come within a cycle, so the rotation
-  // provides fairness across ports.
-  const int total = static_cast<int>(inputs_.size()) * params_.num_vcs;
-  for (int k = 0; k < total; ++k) {
-    const int idx = (vca_rr_ + k) % total;
-    const int i = idx / params_.num_vcs;
-    const int v = idx % params_.num_vcs;
-    auto& vc = inputs_[static_cast<std::size_t>(i)].vcs[static_cast<std::size_t>(v)];
-    if (vc.state != VcState::kVca) continue;
-    auto* out = outputs_[static_cast<std::size_t>(vc.route.out_port)].endpoint;
-    if (out == nullptr) continue;
-    const VcId granted = out->alloc_vc(vc.route.vc_class, now);
-    if (granted != kInvalidId) {
-      vc.out_vc = granted;
-      vc.state = VcState::kActive;
-      progressed_ = true;
-      ++counters_.vc_allocations;
+  // Separable VCA: walk the flat (input, VC) slots from a rotating offset;
+  // each requester asks its output endpoint for a downstream VC of the
+  // packet's class. Endpoints grant first-come within a cycle, so the
+  // rotation provides fairness across ports. vca_rr_ moves a whole input
+  // (num_vcs slots) a cycle, so the walk is input i0's VCs, then the next's.
+  const int n_in = static_cast<int>(inputs_.size());
+  const int i0 = vca_rr_ / params_.num_vcs;
+  assert(vca_rr_ == i0 * params_.num_vcs);
+  for (int i = i0, k = 0; k < n_in; ++k, i = i + 1 == n_in ? 0 : i + 1) {
+    auto& port = inputs_[static_cast<std::size_t>(i)];
+    for (std::uint64_t m = port.vca; m != 0; m &= m - 1) {
+      const int v = std::countr_zero(m);
+      auto& vc = port.vcs[static_cast<std::size_t>(v)];
+      auto* out =
+          outputs_[static_cast<std::size_t>(vc.route.out_port)].endpoint;
+      if (out == nullptr) continue;
+      const VcId granted = out->alloc_vc(vc.route.vc_class, now);
+      if (granted != kInvalidId) {
+        vc.out_vc = granted;
+        vc.state = VcState::kActive;
+        port.vca &= ~bit(v);
+        port.ready |= bit(v);
+        progressed_ = true;
+        ++counters_.vc_allocations;
+      }
     }
   }
-  vca_rr_ = (vca_rr_ + params_.num_vcs) % std::max(1, total);
+  vca_rr_ += params_.num_vcs;
+  if (vca_rr_ == n_in * params_.num_vcs) vca_rr_ = 0;
 }
 
-void Router::stage_rc(Cycle now) {
-  (void)now;
+void Router::stage_rc() {
   for (auto& port : inputs_) {
-    for (auto& vc : port.vcs) {
-      if (vc.state != VcState::kRouting) continue;
+    for (std::uint64_t m = port.routing; m != 0; m &= m - 1) {
+      auto& vc = port.vcs[static_cast<std::size_t>(std::countr_zero(m))];
       assert(!vc.buffer.empty() && vc.buffer.front().head);
       Flit& head = vc.buffer.front();
       vc.route = oracle_->route(params_.id, head);
@@ -213,6 +238,8 @@ void Router::stage_rc(Cycle now) {
       progressed_ = true;
       ++counters_.route_computations;
     }
+    port.vca |= port.routing;
+    port.routing = 0;
   }
 }
 
@@ -239,17 +266,21 @@ void Router::dump_state(std::ostream& os) const {
   }
 }
 
-void Router::stage_detect(Cycle now) {
-  (void)now;
-  for (auto& port : inputs_) {
-    for (auto& vc : port.vcs) {
-      if (vc.state == VcState::kIdle && !vc.buffer.empty()) {
-        assert(vc.buffer.front().head && "body flit at idle VC head");
-        vc.state = VcState::kRouting;
-        progressed_ = true;
-      }
+bool Router::masks_match_states() const {
+  for (const auto& port : inputs_) {
+    std::uint64_t routing = 0, vca = 0, ready = 0;
+    for (std::size_t v = 0; v < port.vcs.size(); ++v) {
+      const auto& vc = port.vcs[v];
+      const std::uint64_t b = bit(static_cast<int>(v));
+      if (vc.state == VcState::kIdle && !vc.buffer.empty()) return false;
+      if (vc.state == VcState::kRouting) routing |= b;
+      if (vc.state == VcState::kVca) vca |= b;
+      if (vc.state == VcState::kActive && !vc.buffer.empty()) ready |= b;
     }
+    if (routing != port.routing || vca != port.vca) return false;
+    if (ready != port.ready || port.detect != 0) return false;
   }
+  return true;
 }
 
 }  // namespace ownsim

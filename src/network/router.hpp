@@ -7,7 +7,8 @@
 // the packet's allocation and only contend for the switch. Switch allocation
 // is separable input-first with round-robin priority at both stages. Flow
 // control is credit-based wormhole; credits return through the upstream
-// endpoint as buffer slots free.
+// endpoint as buffer slots free. Per-port bitmasks of VC states let each
+// stage walk only the VCs it can advance, in the order a full scan would.
 //
 // Port counts are asymmetric (e.g. an OWN photonic router reads ONE home
 // waveguide but writes 15), so inputs and outputs are configured separately.
@@ -57,6 +58,8 @@ struct RouterCounters {
 
 class Router final : public Clocked {
  public:
+  static constexpr int kMaxVcs = 64;  ///< VCs per port: one mask bit each
+
   struct Params {
     RouterId id = 0;
     int num_inputs = 0;   ///< total, including injection ports
@@ -126,6 +129,11 @@ class Router final : public Clocked {
     InputEndpoint* endpoint = nullptr;
     std::vector<InputVc> vcs;
     int rr_vc = 0;  ///< SA stage-1 round-robin pointer
+    // Bit v describes vcs[v]; masks_match_states() is the definition.
+    std::uint64_t routing = 0;  ///< kRouting
+    std::uint64_t vca = 0;      ///< kVca
+    std::uint64_t ready = 0;    ///< kActive with a buffered flit
+    std::uint64_t detect = 0;   ///< kIdle that gained a head this eval
   };
 
   struct OutputPort {
@@ -133,11 +141,12 @@ class Router final : public Clocked {
     int rr_input = 0;  ///< SA stage-2 round-robin pointer
   };
 
+  static constexpr std::uint64_t bit(int v) { return std::uint64_t{1} << v; }
   void stage_intake(Cycle now);
   void stage_switch(Cycle now);  // SA + ST + LT launch
   void stage_vca(Cycle now);
-  void stage_rc(Cycle now);
-  void stage_detect(Cycle now);
+  void stage_rc();
+  bool masks_match_states() const;  // debug-build audit of the masks
 
   Params params_;
   const std::vector<VcClassRange>* classes_;

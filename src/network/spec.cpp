@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace ownsim {
 namespace {
@@ -18,7 +19,15 @@ void NetworkSpec::validate() const {
   if (static_cast<int>(nodes.size()) != num_nodes) {
     fail(name, "nodes.size() != num_nodes");
   }
-  if (num_vcs < 1 || buffer_depth < 1) fail(name, "bad num_vcs/buffer_depth");
+  auto check_range = [this](const char* field, int value, int max) {
+    if (value < 1 || value > max) {
+      throw std::invalid_argument("NetworkSpec '" + name + "': " + field +
+                                  " = " + std::to_string(value) +
+                                  " outside [1, " + std::to_string(max) + "]");
+    }
+  };
+  check_range("num_vcs", num_vcs, Router::kMaxVcs);
+  check_range("buffer_depth", buffer_depth, kMaxBufferDepth);
 
   // VC classes must partition prefix ranges inside [0, num_vcs).
   if (vc_classes.empty()) fail(name, "no VC classes");

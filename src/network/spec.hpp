@@ -65,6 +65,10 @@ struct MediumSpec {
 };
 
 struct NetworkSpec {
+  /// Upper bound on `buffer_depth`: every VC of every port allocates its
+  /// flit slots up front. `num_vcs` is bounded by Router::kMaxVcs.
+  static constexpr int kMaxBufferDepth = 256;
+
   std::string name;
   int num_nodes = 0;
   int num_vcs = 4;
@@ -113,7 +117,8 @@ struct NetworkSpec {
 
   /// Structural consistency check; throws std::runtime_error on violations
   /// (port out of range, port double-driven or undriven, bad route targets,
-  /// malformed VC classes).
+  /// malformed VC classes), and std::invalid_argument naming the field when
+  /// `num_vcs` or `buffer_depth` is out of range.
   void validate() const;
 };
 

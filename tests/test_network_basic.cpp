@@ -2,6 +2,9 @@
 // networks: delivery, latency, ordering, wormhole flow control, credits.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/rng.hpp"
 #include "helpers.hpp"
 #include "network/network.hpp"
@@ -180,6 +183,27 @@ TEST(NetworkBasic, ValidateRejectsBadSpecs) {
     spec.vc_classes = {{0, 9}};  // exceeds num_vcs
     EXPECT_THROW(Network net(std::move(spec)), std::runtime_error);
   }
+  // VC count and buffer depth are bounded by name: one 64-bit mask bit per
+  // VC, and every buffer slot is allocated up front.
+  const auto expect_rejected = [](int num_vcs, int buffer_depth,
+                                  const std::string& field) {
+    NetworkSpec spec = two_router_spec();
+    spec.num_vcs = num_vcs;
+    spec.buffer_depth = buffer_depth;
+    try {
+      spec.validate();
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(0, 8, "num_vcs");
+  expect_rejected(Router::kMaxVcs + 1, 8, "num_vcs");
+  expect_rejected(4, 0, "buffer_depth");
+  expect_rejected(4, NetworkSpec::kMaxBufferDepth + 1, "buffer_depth");
+  NetworkSpec widest = two_router_spec(Router::kMaxVcs, 1);
+  EXPECT_NO_THROW(widest.validate());
 }
 
 }  // namespace

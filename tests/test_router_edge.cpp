@@ -1,6 +1,7 @@
 // Edge-case tests for the router microarchitecture: asymmetric port counts,
-// single-VC operation, construction errors, wiring errors, state dumps, and
-// head-of-line behavior.
+// single-VC operation, construction errors, wiring errors, state dumps,
+// head-of-line behavior, and report digests pinning the arbitration order at
+// VC counts the benchmark goldens never reach.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -9,6 +10,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/config.hpp"
+#include "common/sha256.hpp"
+#include "driver/experiment_config.hpp"
 #include "helpers.hpp"
 #include "network/network.hpp"
 
@@ -30,6 +34,8 @@ TEST(RouterEdge, RejectsBadConstruction) {
   params.num_inputs = 1;
   EXPECT_THROW(Router(params, nullptr, &oracle), std::invalid_argument);
   EXPECT_THROW(Router(params, &classes, nullptr), std::invalid_argument);
+  params.num_vcs = Router::kMaxVcs + 1;  // one mask bit per VC
+  EXPECT_THROW(Router(params, &classes, &oracle), std::invalid_argument);
 }
 
 TEST(RouterEdge, DoubleWiringThrows) {
@@ -376,6 +382,88 @@ TEST(SenderWake, SerializationSlotAndOutageWakeTheSender) {
           network.network_channel_mut(0).set_outage(outage_until, now);
         }
       });
+}
+
+// ---------------------------------------------------------------------------
+// Router pins: digests of experiment_result_json for short runs whose VC
+// counts and arbitration shapes the benchmark goldens do not cover. They
+// were recorded on the router that scanned every input VC in each stage,
+// before the per-port VC-state bitmasks replaced those scans, so they hold
+// the walk orders of SA stage 1, VCA and RC to the scans' round-robin
+// orders. Each point must give the same digest under the lockstep and the
+// activity kernel. The obs counters are part of the JSON, so the
+// compiled-out registry has its own digests.
+
+void expect_pinned(const char* text, const char* obs_on_digest,
+                   const char* obs_off_digest) {
+  for (const KernelMode mode : {KernelMode::kLockstep, KernelMode::kActivity}) {
+    ExperimentConfig config =
+        parse_experiment_config(Config::from_string(text));
+    config.kernel = mode;
+    const ExperimentResult result = run_experiment(config);
+    EXPECT_TRUE(result.run.drained) << to_string(mode);
+    EXPECT_EQ(sha256_hex(experiment_result_json(result)),
+              OWNSIM_OBS_ENABLED ? obs_on_digest : obs_off_digest)
+        << text << " kernel=" << to_string(mode);
+  }
+}
+
+TEST(RouterPins, CmeshSixtyFourVcsDepthOne) {
+  // Every VC holds one flit, so a saturated mesh rotates VC allocation
+  // through all 64 VCs: VC 63 is the top mask bit, and an SA grant on it
+  // wraps rr_vc to 0.
+  expect_pinned(
+      "topology=cmesh cores=64 vcs=64 buffer_depth=1 rate=0.05 "
+      "warmup=200 measure=800 drain=5000",
+      "08385f90d5044241380286c60a75848d4a13a73e9a37db8c4ba1556cc43ceb47",
+      "7d7c4d925c09615b3b9deb31dd306c68084a7e17f31b7812fd208ee1557108ff");
+}
+
+TEST(RouterPins, CmeshSevenVcs) {
+  // A 4x4 mesh whose routers have 6, 7 or 8 inputs of 7 VCs: no VCA slot
+  // total (42, 49, 56) is a power of two, so the closed-form vca_rr_
+  // catch-up after a sleep wraps at a non-trivial modulus.
+  expect_pinned(
+      "topology=cmesh cores=64 vcs=7 rate=0.03 warmup=200 "
+      "measure=800 drain=5000",
+      "747085d4555c515307be219320ee13f97388292791fec4df9a606b1a39c332a5",
+      "1776fa423e5e80ed930773acad0f12d9883386c4eb937fd91cf8b7781052d995");
+}
+
+TEST(RouterPins, Own256FiveVcs) {
+  expect_pinned(
+      "topology=own cores=256 vcs=5 rate=0.004 warmup=200 "
+      "measure=800 drain=8000",
+      "7c1a2bb4ea27305e79a2fa3e44aa1446d9edb316b58b8c29187cb2c0ee62736c",
+      "9cd897d29f0eb0f498890587881bc961999c21f4b4db73f4d93ae7c7258d9967");
+}
+
+TEST(RouterPins, OptXb256) {
+  expect_pinned(
+      "topology=optxb cores=256 rate=0.006 warmup=200 "
+      "measure=800 drain=5000",
+      "cca697a0420b5ded7b25c70aa52a968d82a79ffbc6c5707fd1d9b628263e1b7a",
+      "05bf7a7ebb5ef47bb144288d0e4c086ae3cb901038c020c36575c6eb3347b157");
+}
+
+TEST(RouterPins, WirelessCmesh256O1Turn) {
+  // Wireless CMESH builds one VC class whatever o1turn says; the key is
+  // pinned here as part of the canonical config all the same.
+  expect_pinned(
+      "topology=wcmesh cores=256 o1turn=1 rate=0.006 warmup=200 "
+      "measure=800 drain=5000",
+      "15403ffa0196801f8574c331d5ce8b821b95b52e58aade3d7e3ee29b6fb4f16a",
+      "3a055be04109180e557cdc48bafdd7f3ed5ef309d6666955e8421b91717fb83d");
+}
+
+TEST(RouterPins, CmeshO1TurnTornado) {
+  // O1TURN on the plain mesh: two VC classes and the YX alternate table, so
+  // RC hands out both classes and VCA allocates within each.
+  expect_pinned(
+      "topology=cmesh cores=64 o1turn=1 pattern=tornado "
+      "rate=0.015 warmup=200 measure=800 drain=5000",
+      "7954bfdbe23d5b01a602ea287dc7846d644dcc26a54825cee89df5f357279fa3",
+      "2ad5b364c091c0e6a0f27cc9ad54db6b0727dac7597e745bea55031d689e1049");
 }
 
 }  // namespace

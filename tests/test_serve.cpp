@@ -153,6 +153,10 @@ TEST(ParseExperimentConfig, ValidatesInput) {
            "rate=nan",
            "rate=inf",
            "rate=-1",
+           "vcs=0",
+           "vcs=65",
+           "buffer_depth=0",
+           "buffer_depth=257",
        }) {
     const std::string text(bad);
     const std::string key = text.substr(0, text.find('='));
@@ -164,9 +168,12 @@ TEST(ParseExperimentConfig, ValidatesInput) {
           << text << ": " << e.what();
     }
   }
-  // Zero-length warmup and drain, and zero offered load, stay legal.
+  // Zero-length warmup and drain, and zero offered load, stay legal, as do
+  // the largest VC count and buffer depth.
   EXPECT_NO_THROW(
       parse_experiment_config(Config::from_string("warmup=0 drain=0 rate=0")));
+  EXPECT_NO_THROW(
+      parse_experiment_config(Config::from_string("vcs=64 buffer_depth=256")));
   const ExperimentConfig config = parse_experiment_config(
       Config::from_string("watchdog=1234 fault_token_loss=0@50:never"));
   EXPECT_TRUE(config.fault.watchdog);
