@@ -39,14 +39,18 @@ Channel::Channel(MediumType medium, int latency, int cycles_per_flit,
 
 VcId Channel::Sender::alloc_vc(int vc_class, Cycle /*now*/) {
   auto& ch = *channel;
-  const auto& cls = (*ch.classes_).at(static_cast<std::size_t>(vc_class));
-  // Round-robin over the class's VC range for fairness across packets.
-  int& rr = ch.rr_next_[static_cast<std::size_t>(vc_class)];
-  for (int i = 0; i < cls.count; ++i) {
-    const VcId vc = cls.first + (rr + i) % cls.count;
+  const auto k = static_cast<std::size_t>(vc_class);
+  assert(k < ch.classes_->size());  // a negative class wraps past size()
+  const auto& cls = (*ch.classes_)[k];
+  // Round-robin over the class's VC range for fairness across packets:
+  // offsets rr, rr+1, ... wrapping at the class size.
+  int& rr = ch.rr_next_[k];
+  for (int i = 0, j = rr; i < cls.count; ++i) {
+    const VcId vc = cls.first + j;
+    if (++j == cls.count) j = 0;
     if (!ch.vc_busy_[vc]) {
       ch.vc_busy_[vc] = true;
-      rr = (rr + i + 1) % cls.count;
+      rr = j;
       return vc;
     }
   }

@@ -39,8 +39,14 @@ class OutputEndpoint {
  public:
   virtual ~OutputEndpoint() = default;
 
-  /// Tries to allocate a downstream VC for a new packet of `vc_class`.
-  /// Returns kInvalidId when none is available this cycle.
+  /// Tries to allocate a downstream VC for a new packet of `vc_class`
+  /// (0 <= vc_class < 64, the width of the router's per-output refused
+  /// mask). Returns kInvalidId when none is available this cycle.
+  ///
+  /// Contract: a refusal changes no state, and a refusal for a class stands
+  /// until the caller itself passes a tail flit through `accept()` — only
+  /// that frees a downstream VC or lane, and each endpoint has exactly one
+  /// upstream caller. Router::stage_vca relies on it to skip asking again.
   virtual VcId alloc_vc(int vc_class, Cycle now) = 0;
 
   /// True if `flit` (already VC-allocated) can be accepted this cycle:

@@ -20,6 +20,9 @@ Router::Router(Params params, const std::vector<VcClassRange>* classes,
   if (classes_ == nullptr || oracle_ == nullptr) {
     throw std::invalid_argument("Router: classes and oracle must not be null");
   }
+  if (classes_->size() > static_cast<std::size_t>(kMaxVcs)) {
+    throw std::invalid_argument("Router: at most 64 VC classes");
+  }
   inputs_.resize(static_cast<std::size_t>(params_.num_inputs));
   for (auto& port : inputs_) {
     port.vcs.resize(static_cast<std::size_t>(params_.num_vcs));
@@ -180,6 +183,7 @@ void Router::stage_switch(Cycle now) {
 
     if (flit.tail || vc.buffer.empty()) port.ready &= ~bit(v);
     if (flit.tail) {
+      out.refused = 0;  // the endpoint may have freed a VC of any class
       vc.state = VcState::kIdle;
       vc.out_vc = kInvalidId;
       if (!vc.buffer.empty()) port.detect |= bit(v);
@@ -198,6 +202,8 @@ void Router::stage_vca(Cycle now) {
   // packet's class. Endpoints grant first-come within a cycle, so the
   // rotation provides fairness across ports. vca_rr_ moves a whole input
   // (num_vcs slots) a cycle, so the walk is input i0's VCs, then the next's.
+  // A class an output refused is not asked again until a tail leaves there
+  // (OutputPort::refused): the endpoint would refuse it every time.
   const int n_in = static_cast<int>(inputs_.size());
   const int i0 = vca_rr_ / params_.num_vcs;
   assert(vca_rr_ == i0 * params_.num_vcs);
@@ -206,18 +212,21 @@ void Router::stage_vca(Cycle now) {
     for (std::uint64_t m = port.vca; m != 0; m &= m - 1) {
       const int v = std::countr_zero(m);
       auto& vc = port.vcs[static_cast<std::size_t>(v)];
-      auto* out =
-          outputs_[static_cast<std::size_t>(vc.route.out_port)].endpoint;
-      if (out == nullptr) continue;
-      const VcId granted = out->alloc_vc(vc.route.vc_class, now);
-      if (granted != kInvalidId) {
-        vc.out_vc = granted;
-        vc.state = VcState::kActive;
-        port.vca &= ~bit(v);
-        port.ready |= bit(v);
-        progressed_ = true;
-        ++counters_.vc_allocations;
+      auto& out = outputs_[static_cast<std::size_t>(vc.route.out_port)];
+      const int c = vc.route.vc_class;
+      assert(c >= 0 && c < kMaxVcs && "VC class outside the refused mask");
+      if (out.endpoint == nullptr || (out.refused & bit(c)) != 0) continue;
+      const VcId granted = out.endpoint->alloc_vc(c, now);
+      if (granted == kInvalidId) {
+        out.refused |= bit(c);
+        continue;
       }
+      vc.out_vc = granted;
+      vc.state = VcState::kActive;
+      port.vca &= ~bit(v);
+      port.ready |= bit(v);
+      progressed_ = true;
+      ++counters_.vc_allocations;
     }
   }
   vca_rr_ += params_.num_vcs;

@@ -139,6 +139,10 @@ class Router final : public Clocked {
   struct OutputPort {
     OutputEndpoint* endpoint = nullptr;
     int rr_input = 0;  ///< SA stage-2 round-robin pointer
+    /// Bit c: alloc_vc(c) refused since the last tail launched here. The
+    /// refusal stands until then (OutputEndpoint::alloc_vc), so VCA skips
+    /// the call.
+    std::uint64_t refused = 0;
   };
 
   static constexpr std::uint64_t bit(int v) { return std::uint64_t{1} << v; }

@@ -4,6 +4,7 @@
 // VC counts the benchmark goldens never reach.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -36,6 +37,9 @@ TEST(RouterEdge, RejectsBadConstruction) {
   EXPECT_THROW(Router(params, &classes, nullptr), std::invalid_argument);
   params.num_vcs = Router::kMaxVcs + 1;  // one mask bit per VC
   EXPECT_THROW(Router(params, &classes, &oracle), std::invalid_argument);
+  params.num_vcs = 4;
+  std::vector<VcClassRange> too_many(Router::kMaxVcs + 1, {0, 1});
+  EXPECT_THROW(Router(params, &too_many, &oracle), std::invalid_argument);
 }
 
 TEST(RouterEdge, DoubleWiringThrows) {
@@ -118,6 +122,94 @@ TEST(RouterEdge, RadixReportsMaxOfInOut) {
   EXPECT_EQ(router.radix(), 17);
   EXPECT_EQ(router.num_inputs(), 3);
   EXPECT_EQ(router.num_outputs(), 17);
+}
+
+/// Output endpoint that counts alloc_vc calls per class. It keeps the
+/// OutputEndpoint contract the router's refused mask relies on: a class
+/// lane, once granted, frees only when its tail passes through accept().
+struct CountingOutput final : OutputEndpoint {
+  std::vector<int> free_lanes;     ///< per class
+  std::vector<int> calls;          ///< alloc_vc calls per class
+  std::vector<PacketId> accepted;  ///< packet of each accepted flit
+  VcId alloc_vc(int vc_class, Cycle /*now*/) override {
+    const auto c = static_cast<std::size_t>(vc_class);
+    ++calls[c];
+    if (free_lanes[c] == 0) return kInvalidId;
+    --free_lanes[c];
+    return vc_class;  // the class rides in flit.vc, as on a medium writer
+  }
+  bool can_accept(const Flit& /*flit*/, Cycle /*now*/) const override {
+    return true;
+  }
+  void accept(const Flit& flit, Cycle /*now*/) override {
+    accepted.push_back(flit.packet);
+    if (flit.tail) ++free_lanes[static_cast<std::size_t>(flit.vc)];
+  }
+};
+
+/// Input endpoint replaying (arrival cycle, flit) pairs in order.
+struct ScriptedInput final : InputEndpoint {
+  std::deque<std::pair<Cycle, Flit>> script;
+  const Flit* poll(Cycle now) override {
+    if (script.empty() || script.front().first > now) return nullptr;
+    return &script.front().second;
+  }
+  void pop(Cycle /*now*/) override { script.pop_front(); }
+  void push_credit(VcId /*vc*/, Cycle /*now*/) override {}
+};
+
+TEST(RouterEdge, VcaSkipsARefusedClassUntilATailLeaves) {
+  // One input, one output with one lane per class. Packet 1 (class 0) takes
+  // the class-0 lane at cycle 2 and holds it until its tail arrives at
+  // cycle 10. Packet 2 (class 0) is refused at cycle 3 and packet 3
+  // (class 1, no lane free) at cycle 7; both wait in VCA until then.
+  std::vector<VcClassRange> classes = {{0, 2}, {2, 2}};
+  struct ClassOracle final : RoutingOracle {
+    RouteEntry route(RouterId, const Flit& head) const override {
+      return {0, head.vc_class};
+    }
+  } oracle;
+  Router::Params params;
+  params.num_inputs = 1;
+  params.num_outputs = 1;
+  params.num_vcs = 4;
+  params.buffer_depth = 4;
+  Router router(params, &classes, &oracle);
+  const auto flit = [](PacketId packet, VcId vc, int cls, bool head,
+                       bool tail) {
+    Flit f;
+    f.packet = packet;
+    f.vc = vc;
+    f.vc_class = static_cast<std::int8_t>(cls);
+    f.head = head;
+    f.tail = tail;
+    return f;
+  };
+  ScriptedInput in;
+  in.script = {{0, flit(1, 0, 0, true, false)},
+               {1, flit(2, 1, 0, true, true)},
+               {5, flit(3, 2, 1, true, true)},
+               {10, flit(1, 0, 0, false, true)}};
+  CountingOutput out;
+  out.free_lanes = {1, 0};
+  out.calls = {0, 0};
+  router.connect_input(0, &in);
+  router.connect_output(0, &out);
+
+  for (Cycle now = 0; now < 10; ++now) router.eval(now);
+  EXPECT_EQ(out.calls[0], 2);  // packet 1's grant, packet 2's one refusal
+  EXPECT_EQ(out.calls[1], 1);  // another class on the same output is asked
+  EXPECT_EQ(out.accepted, std::vector<PacketId>{1});
+  EXPECT_EQ(router.counters().vc_allocations, 1);
+
+  router.eval(10);  // packet 1's tail leaves and frees the class-0 lane
+  EXPECT_EQ(out.accepted, (std::vector<PacketId>{1, 1}));
+  EXPECT_EQ(out.calls[0], 3);  // packet 2 is asked and granted this eval
+  EXPECT_EQ(router.counters().vc_allocations, 2);
+  EXPECT_EQ(out.calls[1], 2);  // a tail clears every class of the output
+
+  router.eval(11);
+  EXPECT_EQ(out.accepted, (std::vector<PacketId>{1, 1, 2}));
 }
 
 TEST(ChannelEdge, ConstructionValidation) {
@@ -386,13 +478,16 @@ TEST(SenderWake, SerializationSlotAndOutageWakeTheSender) {
 
 // ---------------------------------------------------------------------------
 // Router pins: digests of experiment_result_json for short runs whose VC
-// counts and arbitration shapes the benchmark goldens do not cover. They
-// were recorded on the router that scanned every input VC in each stage,
-// before the per-port VC-state bitmasks replaced those scans, so they hold
-// the walk orders of SA stage 1, VCA and RC to the scans' round-robin
-// orders. Each point must give the same digest under the lockstep and the
-// activity kernel. The obs counters are part of the JSON, so the
-// compiled-out registry has its own digests.
+// counts and arbitration shapes the benchmark goldens do not cover. The
+// first six were recorded on the router that scanned every input VC in each
+// stage, before the per-port VC-state bitmasks replaced those scans, so they
+// hold the walk orders of SA stage 1, VCA and RC to the scans' round-robin
+// orders. The last two, saturated points were recorded on the router that
+// asked every output again each cycle, before the per-output refused mask,
+// so they hold the skipped calls to the grants that asking gave. Each point
+// must give the same digest under the lockstep and the activity kernel.
+// The obs counters are part of the JSON, so the compiled-out registry has
+// its own digests.
 
 void expect_pinned(const char* text, const char* obs_on_digest,
                    const char* obs_off_digest) {
@@ -464,6 +559,28 @@ TEST(RouterPins, CmeshO1TurnTornado) {
       "rate=0.015 warmup=200 measure=800 drain=5000",
       "7954bfdbe23d5b01a602ea287dc7846d644dcc26a54825cee89df5f357279fa3",
       "2ad5b364c091c0e6a0f27cc9ad54db6b0727dac7597e745bea55031d689e1049");
+}
+
+TEST(RouterPins, CmeshHotspotTwoVcs) {
+  // Past saturation with two VCs in the mesh's one class: a fifth of the
+  // traffic heads for node 0, so VCs queued in VCA at the routers on the
+  // way wait on the same (output, class) for many cycles while both
+  // downstream VCs stay busy.
+  expect_pinned(
+      "topology=cmesh cores=64 vcs=2 pattern=hotspot rate=0.013 "
+      "warmup=200 measure=800 drain=5000",
+      "b10b061aa8e4e7212fffc3aaba25e28116bb60a320e83d98a4953d0219b23e19",
+      "7502b515dbd357563070b34693624ad58938080c415ab39fee75461f1f2ed44b");
+}
+
+TEST(RouterPins, Own256PastSaturation) {
+  // Offered 0.012 against an accepted ~0.009: heads queue in VCA on the
+  // photonic and wireless writer lanes, which refuse a class while a packet
+  // of it is still open.
+  expect_pinned(
+      "topology=own cores=256 rate=0.012 warmup=200 measure=800 drain=8000",
+      "94857f258db25bbf6ded8dc9cebaad8b3797ee1beb350c4ac85c0f38998c5abc",
+      "7cc674781001988ff28263bb57d609d127edf30af255ecdf282f9f02eba8af2f");
 }
 
 }  // namespace
