@@ -32,6 +32,9 @@ Channel::Channel(MediumType medium, int latency, int cycles_per_flit,
   if (num_vcs < 1 || buffer_depth < 1) {
     throw std::invalid_argument("Channel: need >=1 VC and >=1 buffer slot");
   }
+  if (num_vcs > 64) {
+    throw std::invalid_argument("Channel: at most 64 VCs (one gate bit each)");
+  }
   if (classes_ == nullptr) {
     throw std::invalid_argument("Channel: classes must not be null");
   }
@@ -57,25 +60,10 @@ VcId Channel::Sender::alloc_vc(int vc_class, Cycle /*now*/) {
   return kInvalidId;
 }
 
-bool Channel::Sender::can_accept(const Flit& flit, Cycle now) const {
-  const auto& ch = *channel;
-  assert(flit.vc >= 0 && flit.vc < ch.num_vcs());
-  if (ch.credits_[flit.vc] == 0) return false;  // the credit wakes the source
-  if (now >= ch.next_free_) return true;
-  // Refused for the serialization slot alone (a multi-cycle flit or an
-  // outage). The slot frees without any event, so the source is woken when
-  // it does — once per slot. The source still holds the refused flit then,
-  // so the wake never lands on a cycle lockstep would idle through.
-  if (ch.source_ != nullptr && ch.slot_wake_ != ch.next_free_) {
-    ch.slot_wake_ = ch.next_free_;
-    ch.source_->request_wake(ch.next_free_);
-  }
-  return false;
-}
-
 void Channel::Sender::accept(const Flit& flit, Cycle now) {
   auto& ch = *channel;
-  assert(can_accept(flit, now));
+  assert(flit.vc >= 0 && flit.vc < ch.num_vcs());
+  assert(gate_.admits(flit.vc, now));
   Timed timed{flit, now + ch.latency_};
   if (ch.fault_ != nullptr) ch.apply_fault_on_accept(timed);
   ch.staged_flits_.push_back(timed);
@@ -84,8 +72,8 @@ void Channel::Sender::accept(const Flit& flit, Cycle now) {
   // flit completes the pipe.
   ch.request_commit();
   if (ch.sink_ != nullptr) ch.sink_->request_wake(timed.arrival);
-  ch.next_free_ = now + ch.cycles_per_flit_;
-  --ch.credits_[flit.vc];
+  gate_.free_at = now + ch.cycles_per_flit_;
+  if (--ch.credits_[flit.vc] == 0) gate_.closed |= std::uint64_t{1} << flit.vc;
   if (flit.tail) ch.vc_busy_[flit.vc] = false;
   ++ch.counters_.flits;
   ch.counters_.bits += flit.size_bits;
@@ -157,8 +145,9 @@ void Channel::apply_fault_on_accept(Timed& timed) {
 void Channel::set_outage(Cycle until, Cycle now) {
   if (until <= now) return;
   // Sender side: nothing launches before the channel comes back up (a
-  // source refused meanwhile is woken at `until`, see can_accept).
-  next_free_ = std::max(next_free_, until);
+  // router refused meanwhile waits for `until` itself).
+  OutputGate& gate = sender_.published();
+  gate.free_at = std::max(gate.free_at, until);
   // Copies in flight are lost to the outage and retransmitted once the
   // channel restores: first re-arrival a full pipe latency after `until`,
   // then FIFO serialization spacing. Copies the receiver already latched
@@ -175,6 +164,7 @@ void Channel::set_outage(Cycle until, Cycle now) {
   };
   for (auto& t : flit_pipe_) push_out(t);
   for (auto& t : staged_flits_) push_out(t);
+  refresh_arrival();
 }
 
 void Channel::set_dying(Cycle now) {
@@ -197,6 +187,22 @@ void Channel::set_dying(Cycle now) {
   };
   for (auto& t : flit_pipe_) strand(t);
   for (auto& t : staged_flits_) strand(t);
+  refresh_arrival();
+}
+
+void Channel::refresh_arrival() {
+  receiver_.set_arrival_at(flit_pipe_.empty() ? kNeverCycle
+                                              : flit_pipe_.front().arrival);
+}
+
+bool Channel::gates_match_state() const {
+  std::uint64_t closed = 0;
+  for (std::size_t vc = 0; vc < credits_.size(); ++vc) {
+    if (credits_[vc] == 0) closed |= std::uint64_t{1} << vc;
+  }
+  const Cycle arrival =
+      flit_pipe_.empty() ? kNeverCycle : flit_pipe_.front().arrival;
+  return sender_.gate().closed == closed && receiver_.arrival_at() == arrival;
 }
 
 void Channel::dump_state(std::ostream& os) const {
@@ -251,6 +257,7 @@ void Channel::Receiver::pop(Cycle now) {
   auto& ch = *channel;
   assert(!ch.flit_pipe_.empty());
   ch.flit_pipe_.pop_front();
+  ch.refresh_arrival();
   // Retransmission pushes arrivals out of FIFO order, so a follower can be
   // past due behind the popped front — its accept-time wake already fired
   // while the front still blocked the pipe. Re-arm the sink, or the activity
@@ -272,22 +279,29 @@ void Channel::Receiver::push_credit(VcId vc, Cycle now) {
 void Channel::eval(Cycle now) {
   // Apply credits that have completed their reverse-pipe trip. Doing this in
   // eval (against last cycle's commits) keeps results order-independent.
-  bool credited = false;
+  // A credit into an empty count opens that VC's gate.
+  bool opened = false;
+  OutputGate& gate = sender_.published();
   while (!credit_pipe_.empty() && credit_pipe_.front().arrival <= now) {
-    ++credits_[credit_pipe_.front().vc];
+    const VcId vc = credit_pipe_.front().vc;
+    if (credits_[vc]++ == 0) {
+      gate.closed &= ~(std::uint64_t{1} << vc);
+      opened = true;
+    }
     credit_pipe_.pop_front();
-    credited = true;
   }
-  // A stalled source sleeps until a credit can change its switch
-  // allocation. Routers evaluate before channels (registration order), so
-  // its eval at `now` has already run without this credit: the first eval
-  // that can see it is now+1, exactly when lockstep's would.
-  if (credited && source_ != nullptr && source_->stalled()) {
+  // A stalled source sleeps until a gate it reads opens; a credit into a
+  // non-empty count changes no gate. Routers evaluate before channels
+  // (registration order), so its eval at `now` has already run without
+  // this credit: the first eval that can see it is now+1, exactly when
+  // lockstep's would.
+  if (opened && source_ != nullptr && source_->stalled()) {
     source_->request_wake(now + 1);
   }
-  // Same for the NIC, which drops a port blocked on credits from its ready
-  // set: the credit re-raises the port, visible to the NIC's eval at now+1.
-  if (credited && nic_ != nullptr && !nic_eject_) {
+  // Same for the NIC, which drops a port from its ready set only when the
+  // port's VC is out of credits: the opening credit re-raises the port,
+  // visible to the NIC's eval at now+1.
+  if (opened && nic_ != nullptr && !nic_eject_) {
     nic_->raise(nic_node_);
     nic_->request_wake(now + 1);
   }
@@ -312,17 +326,23 @@ void Channel::eval(Cycle now) {
       }
       if (sink_ != nullptr) sink_->request_wake(t.arrival);
     }
+    refresh_arrival();
   }
+  assert(gates_match_state());
 }
 
 void Channel::commit(Cycle /*now*/) {
   // An eject channel's flit arrives at now+1, when the accept-time sink
   // wake has the NIC evaluating; the raise puts the port in its ready set.
-  if (nic_eject_ && !staged_flits_.empty()) nic_->raise(nic_node_);
-  for (auto& t : staged_flits_) flit_pipe_.push_back(std::move(t));
-  staged_flits_.clear();
+  if (!staged_flits_.empty()) {
+    if (nic_eject_) nic_->raise(nic_node_);
+    for (auto& t : staged_flits_) flit_pipe_.push_back(std::move(t));
+    staged_flits_.clear();
+    refresh_arrival();
+  }
   for (auto& c : staged_credits_) credit_pipe_.push_back(c);
   staged_credits_.clear();
+  assert(gates_match_state());
 }
 
 }  // namespace ownsim

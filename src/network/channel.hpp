@@ -9,9 +9,9 @@
 //     downstream buffer occupancy per VC.
 //
 // The sender side implements `OutputEndpoint` (VC allocation against the
-// downstream input port, credit checks); the receiver side implements
-// `InputEndpoint`. Both latencies are >= 1, so component eval order never
-// affects results.
+// downstream input port; its gate publishes the credit and serialization
+// checks); the receiver side implements `InputEndpoint`. Both latencies are
+// >= 1, so component eval order never affects results.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +64,9 @@ struct LinkFaultCounters {
 
 class Channel final : public Clocked {
  public:
-  /// `num_vcs`/`buffer_depth` describe the downstream input port;
-  /// `classes` maps vc_class -> VC range (shared network-wide).
+  /// `num_vcs`/`buffer_depth` describe the downstream input port (at most
+  /// 64 VCs, one gate bit each); `classes` maps vc_class -> VC range
+  /// (shared network-wide).
   Channel(MediumType medium, int latency, int cycles_per_flit, int num_vcs,
           int buffer_depth, Length distance,
           const std::vector<VcClassRange>* classes, std::string name);
@@ -89,18 +90,19 @@ class Channel final : public Clocked {
   /// unwired channels (unit tests) simply post no wakes.
   void set_sink(Clocked* sink) { sink_ = sink; }
 
-  /// Router driving `out()`, woken when this channel unblocks it: after a
-  /// credit lands while it is stalled, and when the serialization slot (or
-  /// outage) that refused its flit ends. Wired once by the Network
-  /// assembler; optional (a node's injection channel has none: the NIC
-  /// drives it, and `set_nic_port` covers the wake).
+  /// Router driving `out()`, woken at now+1 when a credit opens a VC's gate
+  /// while the router is stalled. A serialization slot or an outage ends
+  /// with time alone, so the router posts that wake itself. Wired once by
+  /// the Network assembler; optional (a node's injection channel has none:
+  /// the NIC drives it, and `set_nic_port` covers the wake).
   void set_source(Router* source) { source_ = source; }
 
   /// Makes this channel a node channel of `nic`'s port `node`, which it
   /// raises (Nic::raise) whenever that port gains work: as the eject
   /// channel (`eject`) when it latches a flit, as the inject channel when
-  /// it absorbs a credit — then also waking the NIC at now+1, the first
-  /// NIC eval that can see the credit. Wired once by the Network assembler.
+  /// a credit opens a VC's gate — then also waking the NIC at now+1, the
+  /// first NIC eval that can see the credit. Wired once by the Network
+  /// assembler.
   void set_nic_port(Nic* nic, NodeId node, bool eject) {
     nic_ = nic;
     nic_node_ = node;
@@ -141,9 +143,10 @@ class Channel final : public Clocked {
   void set_fault_model(const fault::Protocol* protocol, Rng rng,
                        obs::Registry* registry);
 
-  /// Channel flap: the sender cannot launch before `until`, and in-flight
-  /// copies are lost to the outage — they retransmit after restoration
-  /// (arrivals pushed past `until`, FIFO spacing preserved).
+  /// Channel flap: the sender cannot launch before `until` (the gate's
+  /// `free_at`), and in-flight copies are lost to the outage — they
+  /// retransmit after restoration (arrivals pushed past `until`, FIFO
+  /// spacing preserved).
   void set_outage(Cycle until, Cycle now);
 
   /// Permanent mid-run death: the channel keeps accepting (wormhole bodies
@@ -183,8 +186,8 @@ class Channel final : public Clocked {
   struct Sender final : OutputEndpoint {
     explicit Sender(Channel* ch) : channel(ch) {}
     VcId alloc_vc(int vc_class, Cycle now) override;
-    bool can_accept(const Flit& flit, Cycle now) const override;
     void accept(const Flit& flit, Cycle now) override;
+    OutputGate& published() { return gate_; }
     Channel* channel;
   };
 
@@ -193,8 +196,15 @@ class Channel final : public Clocked {
     const Flit* poll(Cycle now) override;
     void pop(Cycle now) override;
     void push_credit(VcId vc, Cycle now) override;
+    void set_arrival_at(Cycle at) { arrival_at_ = at; }
     Channel* channel;
   };
+
+  /// Republishes the receiver's `arrival_at` from the pipe's front.
+  void refresh_arrival();
+  /// Debug-build audit: the sender's gate bits and the receiver's
+  /// `arrival_at` equal what `credits_` and the pipe front give.
+  bool gates_match_state() const;
 
   struct Timed {
     Flit flit;
@@ -213,14 +223,12 @@ class Channel final : public Clocked {
   const std::vector<VcClassRange>* classes_;
   std::string name_;
 
-  // Sender state (touched only by the upstream component's eval).
+  // Sender state (touched only by the upstream component's eval, and
+  // credits_ by this channel's eval). The end of the serialization slot is
+  // the sender gate's free_at.
   std::vector<int> credits_;
   std::vector<bool> vc_busy_;
   std::vector<int> rr_next_;  // per-class round-robin VC pointer
-  Cycle next_free_ = 0;
-  /// Slot end the source was last woken for (see Sender::can_accept).
-  /// Mutable: the refusal is a const query that posts the wake.
-  mutable Cycle slot_wake_ = -1;
 
   // Pipes. `staged_*` filled during eval, merged in commit.
   std::deque<Timed> flit_pipe_;

@@ -80,8 +80,8 @@ void Nic::visit(NodeId node, Cycle now) {
   const std::uint64_t mask = std::uint64_t{1} << (node % 64);
   // ---- Injection: at most one flit per node per cycle. ---------------------
   // The node's inject channel is a one-cycle, one-flit-per-cycle pipe, so the
-  // only refusal is a missing credit, and the channel raises the port again
-  // when one arrives.
+  // only refusal is a closed gate (no credit), and the channel raises the
+  // port again when a credit opens it.
   bool keep = false;
   if (port.inject != nullptr && !port.queue.empty()) {
     Flit& flit = port.queue.front();
@@ -90,7 +90,7 @@ void Nic::visit(NodeId node, Cycle now) {
     }
     if (port.open_vc != kInvalidId) {
       flit.vc = port.open_vc;
-      if (port.inject->can_accept(flit, now)) {
+      if (port.inject->gate().admits(flit.vc, now)) {
         if (flit.head) {
           // Stamp the whole packet (its flits are contiguous at the queue
           // front) so the tail flit carries the injection time to ejection.

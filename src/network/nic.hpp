@@ -43,10 +43,11 @@ class Nic final : public Clocked {
 
   /// Dormant when no port is ready (DESIGN.md §5e). A port is ready from
   /// the enqueue of a packet until its queue empties or its injection
-  /// channel refuses a flit for want of a credit, and for one visit after
-  /// its eject channel latches a flit. Whatever makes a dormant port
+  /// channel's gate refuses a flit for want of a credit, and for one visit
+  /// after its eject channel latches a flit. Whatever makes a dormant port
   /// ready wakes the NIC: `enqueue_packet` itself, the eject channel's
-  /// arrival wake, the inject channel's credit wake (`raise`).
+  /// arrival wake, the inject channel's wake when a credit opens its gate
+  /// (`raise`).
   bool is_idle() const override {
     for (const std::uint64_t word : ready_) {
       if (word != 0) return false;
@@ -56,8 +57,8 @@ class Nic final : public Clocked {
 
   /// Marks `node`'s port ready from the next eval: called by the node's
   /// eject channel when it latches a flit (commit) and by its inject channel
-  /// when it absorbs a credit (eval). Under the parallel kernel those run in
-  /// router lanes concurrently, hence the atomic mailbox, which the NIC
+  /// when a credit opens its gate (eval). Under the parallel kernel those run
+  /// in router lanes concurrently, hence the atomic mailbox, which the NIC
   /// merges at its next eval — a later phase, across barriers (§5i).
   void raise(NodeId node) {
     mailbox_[static_cast<std::size_t>(node) / 64].fetch_or(

@@ -71,9 +71,9 @@ TEST(MediumLanes, PerClassLanesAreIndependent) {
   // Stage a head on each lane; both are accepted (separate stagings).
   Flit head0 = make_flit(1, true, false, lane0);
   Flit head1 = make_flit(2, true, false, lane1);
-  ASSERT_TRUE(writer->can_accept(head0, 0));
+  ASSERT_TRUE(writer->gate().admits(lane0, 0));
   writer->accept(head0, 0);
-  ASSERT_TRUE(writer->can_accept(head1, 0));
+  ASSERT_TRUE(writer->gate().admits(lane1, 0));
   writer->accept(head1, 0);
 }
 
@@ -87,7 +87,7 @@ TEST(MediumLanes, LaneClosesOnTailAndReopens) {
   // Tail closes the packet: a new allocation succeeds immediately...
   EXPECT_NE(writer->alloc_vc(0, 1), kInvalidId);
   // ...but the new head cannot enter until the staging drains.
-  EXPECT_FALSE(writer->can_accept(make_flit(2, true, false, lane), 1));
+  EXPECT_FALSE(writer->gate().admits(lane, 1));
 }
 
 TEST(MediumLanes, TransmitsWholePacketThenAdvancesToken) {
@@ -237,7 +237,7 @@ class Sender {
     Flit flit = make_flit(packet_, seq_ == 0, seq_ == flits_ - 1, lane_);
     flit.dst = dst_;
     flit.dst_router = dst_;
-    if (!endpoint->can_accept(flit, now)) return;
+    if (!endpoint->gate().admits(flit.vc, now)) return;
     endpoint->accept(flit, now);
     if (++seq_ == flits_) {
       seq_ = 0;
