@@ -48,10 +48,7 @@ void print_help() {
       "  scenario   ideal | conservative (Table III)           [ideal]\n"
       "  warmup, measure, drain   phase lengths (cycles)  [1500/4000/30000]\n"
       "  packet_flits, seed                                    [4 / 1]\n"
-      "  kernel     activity | lockstep | parallel; all bit-identical\n"
-      "             (parallel partitions one run across threads) [activity]\n"
-      "  partitions parallel-kernel partition override, 0 = topology\n"
-      "             hint (result-neutral)                       [0]\n"
+      "  kernel     activity | lockstep; bit-identical         [activity]\n"
       "  report     none | csv | json                          [none]\n"
       "             csv: channel utilization after the summary;\n"
       "             json: instead of the summary, one JSON document\n"
@@ -59,8 +56,7 @@ void print_help() {
       "  sweep      colon-separated rates (e.g. 0.002:0.004): run a\n"
       "             latency sweep instead of a single point\n"
       "             (seed becomes the sweep master seed)\n"
-      "  threads    workers for the sweep, or for the parallel kernel in\n"
-      "             single-point mode (--threads N also accepted)\n"
+      "  threads    workers for the sweep (--threads N also accepted)\n"
       "             [hardware concurrency]\n"
       "  progress   1: print per-point progress lines to stderr  [0]\n"
       "  trace_out  write a Chrome trace_event JSON of the run to this\n"

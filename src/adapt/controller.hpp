@@ -2,10 +2,8 @@
 //
 // A wake-driven `Clocked`, registered after every network component exactly
 // like the fault campaign: its mutations at cycle T happen after all
-// component evals of T, identically in every kernel (lockstep, activity,
-// parallel — the engine runs late-registered components in the serial lane
-// with the workers parked), which is what keeps the closed physical loop
-// bit-identical for any thread/partition count.
+// component evals of T, identically in both kernels (lockstep and
+// activity), which is what keeps the closed physical loop bit-identical.
 //
 // Every `refresh` cycles it:
 //   1. re-attributes the power of the elapsed window to the floorplan from

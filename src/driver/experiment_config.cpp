@@ -35,27 +35,33 @@ const char* to_string(fault::EventKind kind) {
   throw std::logic_error("bad EventKind");
 }
 
-/// Inverse of `to_string` over the enumerators in `values`.
+/// Inverse of `to_string` over the enumerators in `values`; the error names
+/// the key=value `key` that carried `name`.
 template <typename E>
-E enum_from_name(const std::string& name, std::initializer_list<E> values) {
+E enum_from_name(const std::string& key, const std::string& name,
+                 std::initializer_list<E> values) {
   std::string want;
   for (const E value : values) {
     if (name == to_string(value)) return value;
     if (!want.empty()) want += '|';
     want += to_string(value);
   }
-  throw std::invalid_argument("bad value '" + name + "' (want " + want + ")");
+  throw std::invalid_argument(key + ": bad value '" + name + "' (want " +
+                              want + ")");
 }
 
-void from_name(const std::string& name, PatternKind& kind) {
+void from_name(const std::string&, const std::string& name, PatternKind& kind) {
   kind = parse_pattern(name);
 }
-void from_name(const std::string& name, Scenario& scenario) {
-  scenario = enum_from_name(name, {Scenario::kIdeal, Scenario::kConservative});
+void from_name(const std::string& key, const std::string& name,
+               Scenario& scenario) {
+  scenario =
+      enum_from_name(key, name, {Scenario::kIdeal, Scenario::kConservative});
 }
-void from_name(const std::string& name, KernelMode& mode) {
-  mode = enum_from_name(name, {KernelMode::kActivity, KernelMode::kLockstep,
-                               KernelMode::kParallel});
+void from_name(const std::string& key, const std::string& name,
+               KernelMode& mode) {
+  mode = enum_from_name(key, name,
+                        {KernelMode::kActivity, KernelMode::kLockstep});
 }
 
 OwnConfig own_config_from_row(std::int64_t row) {
@@ -96,7 +102,7 @@ void read_kv(const Config& args, const std::string& key, T& value) {
   } else if constexpr (std::is_same_v<T, OwnConfig>) {
     value = own_config_from_row(args.require_int(key));
   } else {
-    from_name(args.require_string(key), value);
+    from_name(key, args.require_string(key), value);
   }
 }
 
@@ -105,7 +111,7 @@ void read_kv(const Config& args, const std::string& key, T& value) {
 // Each line declares one field: its canonical JSON key, its key=value name,
 // and the member it reads and writes. `nullptr` means "none" on that side:
 // no key=value name for programmatic-only fields, no JSON key for the
-// result-neutral kernel knobs (DESIGN.md §5e/§5i). Being its own type
+// result-neutral kernel knobs (DESIGN.md §5e). Being its own type
 // (std::nullptr_t), it keeps that side's codec from being instantiated.
 
 template <typename E, typename Field>
@@ -154,7 +160,6 @@ void visit_fields(C& c, Field&& field) {
 
   field(nullptr, "kernel", c.kernel);
   field(nullptr, "threads", c.threads);
-  field(nullptr, "partitions", c.partitions);
 
   auto& p = c.power;
   field("power.buffer_write_pj_per_bit", nullptr, p.buffer_write_pj_per_bit);
@@ -339,9 +344,6 @@ ExperimentConfig parse_experiment_config(
         static_cast<std::uint32_t>(config.options.flit_bits);
   }
   if (config.threads < 0) throw std::invalid_argument("threads: want >= 0");
-  if (config.partitions < 0) {
-    throw std::invalid_argument("partitions: want >= 0");
-  }
   if (config.phases.measure <= 0) {
     throw std::invalid_argument("measure: want > 0");
   }

@@ -56,14 +56,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
                                 const RunHooks& hooks) {
   Network network(build_experiment_spec(config));
   network.engine().set_mode(config.kernel);
-  // kernel=parallel needs a partition plan. Thread and partition counts
-  // never change a simulated result (§5i).
-  if (config.kernel == KernelMode::kParallel) {
-    const unsigned threads = config.threads > 0
-                                 ? static_cast<unsigned>(config.threads)
-                                 : exec::default_threads();
-    network.configure_parallel(threads, config.partitions);
-  }
 
   TrafficPattern pattern(config.pattern, config.options.num_cores);
   Injector::Params injector_params = config.injector;

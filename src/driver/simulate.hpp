@@ -37,18 +37,15 @@ struct ExperimentConfig {
   Injector::Params injector;  ///< .rate overridden by `rate`
   PowerParams power;
 
-  /// Simulation kernel. All three kernels are bit-identical (DESIGN.md
-  /// §5e/§5i); lockstep is the slow baseline kept for differential testing
-  /// and A/B timing, parallel the partitioned multi-threaded kernel.
+  /// Simulation kernel. Both kernels are bit-identical (DESIGN.md §5e);
+  /// lockstep is the slow baseline kept for differential testing and A/B
+  /// timing.
   KernelMode kernel = KernelMode::kActivity;
 
-  /// Parallel-kernel worker threads; 0 = exec::default_threads() (which
-  /// honors OWNSIM_THREADS). Ignored by the other kernels. Excluded from
+  /// Sweep worker threads (ownsim_cli's sweep mode); 0 =
+  /// exec::default_threads() (which honors OWNSIM_THREADS). Excluded from
   /// the canonical config JSON: thread count never changes a result.
   int threads = 0;
-  /// Parallel-kernel partition-count override; 0 = the topology's hint (or
-  /// the contiguous fallback). Also result-neutral, also excluded.
-  int partitions = 0;
 
   /// Runtime fault campaign (fault/campaign.hpp). When enabled on OWN-256
   /// the topology is built campaign-capable: the healthy floorplan with the

@@ -39,7 +39,7 @@ struct BenchRecord {
   /// (bench, config, kernel, threads), so the same bench can record one row
   /// per kernel/thread-count without the rows clobbering each other.
   int threads = 1;               ///< simulation worker threads
-  std::string kernel = "activity";  ///< "activity" | "lockstep" | "parallel"
+  std::string kernel = "activity";  ///< "activity" | "lockstep"
   std::vector<BenchMetric> metrics;
 };
 

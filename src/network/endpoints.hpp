@@ -17,9 +17,8 @@
 //
 // Both interfaces publish state instead of answering polls: an input its
 // next arrival cycle (`arrival_at`), an output its acceptance gate
-// (`gate`). Only the owning endpoint writes them, each from the phase that
-// changes the state behind them (DESIGN.md §5e), so callers read them
-// without a call.
+// (`gate`). Only the owning endpoint writes them (DESIGN.md §5e), so
+// callers read them without a call.
 #pragma once
 
 #include <cstdint>

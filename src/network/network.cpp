@@ -1,7 +1,5 @@
 #include "network/network.hpp"
 
-#include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -142,75 +140,6 @@ Network::Network(NetworkSpec spec) : spec_(std::move(spec)) {
   for (auto& r : routers_) r->bind_obs(obs_);
   for (auto& m : media_) m->bind_obs(obs_);
   for (auto& c : channels_) c->bind_obs(obs_);
-}
-
-ParallelPlan Network::build_partition_plan(int partitions) const {
-  const int nr = spec_.num_routers();
-  // Per-router partition labels: topology hint (densified in label order so
-  // arbitrary label values work) unless empty or an override forces the
-  // generic contiguous-block fallback.
-  std::vector<int> router_part(static_cast<std::size_t>(nr), 0);
-  int num_router_parts = 1;
-  if (partitions <= 0 &&
-      spec_.partition_hint.size() == static_cast<std::size_t>(nr)) {
-    std::map<int, int> dense;
-    for (const int label : spec_.partition_hint) dense.emplace(label, 0);
-    int next = 0;
-    for (auto& [label, id] : dense) id = next++;
-    for (int r = 0; r < nr; ++r) {
-      router_part[static_cast<std::size_t>(r)] =
-          dense[spec_.partition_hint[static_cast<std::size_t>(r)]];
-    }
-    num_router_parts = next;
-  } else {
-    const int want = partitions > 0 ? partitions : std::min(8, nr);
-    const int p = std::clamp(want, 1, nr);
-    const int block = (nr + p - 1) / p;
-    for (int r = 0; r < nr; ++r) {
-      router_part[static_cast<std::size_t>(r)] = r / block;
-    }
-    num_router_parts = (nr + block - 1) / block;
-  }
-
-  ParallelPlan plan;
-  // The NIC touches every node's inject/eject channel, so it gets a
-  // partition of its own rather than serializing one router partition.
-  const int nic_part = num_router_parts;
-  plan.num_partitions = num_router_parts + 1;
-  plan.partition.reserve(engine_.num_components());
-  plan.wave.reserve(engine_.num_components());
-  const auto push = [&plan](int part, std::uint8_t wave) {
-    plan.partition.push_back(part);
-    plan.wave.push_back(wave);
-  };
-  // Mirror the registration order above exactly: NIC, routers, media,
-  // network links, node channels. Producers (NIC + routers) evaluate in
-  // wave 1, pipes (media + every channel) in wave 2; pipes join the
-  // partition of their receiving side so a delivery wake stays lane-local.
-  push(nic_part, 1);
-  for (int r = 0; r < nr; ++r) {
-    push(router_part[static_cast<std::size_t>(r)], 1);
-  }
-  for (const MediumSpec& ms : spec_.media) {
-    push(router_part[static_cast<std::size_t>(ms.readers.at(0).first)], 2);
-  }
-  for (const LinkSpec& link : spec_.links) {
-    push(router_part[static_cast<std::size_t>(link.dst_router)], 2);
-  }
-  for (NodeId n = 0; n < spec_.num_nodes; ++n) {
-    const int part =
-        router_part[static_cast<std::size_t>(spec_.nodes[n].router)];
-    push(part, 2);  // inject channel (read by the node's router)
-    push(part, 2);  // eject channel (read by the NIC, delivered cross-lane)
-  }
-  return plan;
-}
-
-void Network::configure_parallel(unsigned threads, int partitions) {
-  if (engine_.mode() != KernelMode::kParallel) {
-    engine_.set_mode(KernelMode::kParallel);
-  }
-  engine_.configure_parallel(build_partition_plan(partitions), threads);
 }
 
 void Network::set_trace(obs::TraceWriter* trace) {

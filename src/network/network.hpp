@@ -15,7 +15,6 @@
 #include "network/spec.hpp"
 #include "obs/counters.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel.hpp"
 
 namespace ownsim {
 
@@ -71,19 +70,6 @@ class Network {
 
   /// True when no packet is anywhere in flight (queues, routers, links).
   bool drained() const { return nic_->packets_in_flight() == 0; }
-
-  // ---- parallel kernel (sim/parallel.hpp, DESIGN.md §5i) --------------------
-  /// Maps every registered component to a partition + wave. Routers follow
-  /// `spec().partition_hint` (labels densified) or, when the hint is empty or
-  /// `partitions` > 0 forces it, contiguous router blocks. Media/links/node
-  /// channels join the partition of their receiving router; the NIC gets a
-  /// dedicated partition of its own (it touches every node's channels).
-  ParallelPlan build_partition_plan(int partitions = 0) const;
-
-  /// Builds the plan and installs it on the engine with `threads` workers
-  /// (`engine().set_mode(kParallel)` first if needed; now() must be 0).
-  /// `run_experiment` calls it for `kernel=parallel` runs.
-  void configure_parallel(unsigned threads, int partitions = 0);
 
   // ---- observability --------------------------------------------------------
   /// Counter registry for this network's components (routers, media, network

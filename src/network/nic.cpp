@@ -9,9 +9,7 @@ namespace ownsim {
 Nic::Nic(int num_nodes) {
   if (num_nodes < 1) throw std::invalid_argument("Nic: num_nodes must be >= 1");
   ports_.resize(static_cast<std::size_t>(num_nodes));
-  const auto words = (static_cast<std::size_t>(num_nodes) + 63) / 64;
-  ready_.assign(words, 0);
-  mailbox_ = std::vector<std::atomic<std::uint64_t>>(words);
+  ready_.assign((static_cast<std::size_t>(num_nodes) + 63) / 64, 0);
 }
 
 void Nic::connect(NodeId node, OutputEndpoint* inject, InputEndpoint* eject) {
@@ -58,11 +56,6 @@ PacketId Nic::enqueue_packet(NodeId src, NodeId dst, RouterId dst_router,
 }
 
 void Nic::eval(Cycle now) {
-  for (std::size_t w = 0; w < ready_.size(); ++w) {
-    if (mailbox_[w].load(std::memory_order_relaxed) != 0) {
-      ready_[w] |= mailbox_[w].exchange(0, std::memory_order_relaxed);
-    }
-  }
   // Ascending port order over a snapshot of each word: a visit clears only
   // its own bit, and nothing enqueues while the NIC evaluates.
   for (std::size_t w = 0; w < ready_.size(); ++w) {

@@ -144,10 +144,7 @@ void SharedMedium::Writer::accept(const Flit& flit, Cycle now) {
   assert(gate_.admits(flit.vc, now));
   (void)now;
   ClassStaging& lane = per_class[static_cast<std::size_t>(flit.vc)];
-  if (lane.staged_in.empty()) {
-    MutexLock lock(medium->dirty_mu_);
-    medium->dirty_writers_.push_back(index);
-  }
+  if (lane.staged_in.empty()) medium->dirty_writers_.push_back(index);
   lane.staged_in.push_back(flit);
   ++lane.staged_count;
   lane.in_packet = !flit.tail;
@@ -173,10 +170,7 @@ void SharedMedium::Reader::pop(Cycle /*now*/) {
 }
 
 void SharedMedium::Reader::push_credit(VcId vc, Cycle now) {
-  if (staged_credits.empty()) {
-    MutexLock lock(medium->dirty_mu_);
-    medium->dirty_readers_.push_back(index);
-  }
+  if (staged_credits.empty()) medium->dirty_readers_.push_back(index);
   staged_credits.push_back({vc, now + 1});
   // Latch this cycle. No wake: the commit ends any sleep the credit could
   // end, and every eval absorbs all credits due by then first.
@@ -363,7 +357,7 @@ void SharedMedium::plan_sleep(Cycle now) {
 }
 
 void SharedMedium::eval(Cycle now) {
-  // 0. Catch-up (activity/parallel kernels) for the cycles skipped while
+  // 0. Catch-up (activity kernel) for the cycles skipped while
   //    dormant. Gated on event_driven(): manually driven media (unit tests)
   //    keep per-call semantics, and under lockstep the gap is always 0.
   if (event_driven()) catch_up(now - 1);
@@ -510,7 +504,6 @@ void SharedMedium::eval(Cycle now) {
 }
 
 void SharedMedium::commit(Cycle now) {
-  MutexLock lock(dirty_mu_);
   // Latched staging ends every sleep but the slot wait (its lane already
   // holds the next flit); latched credits end the sleeps that may wait for
   // one. Cycles through `now` saw the state before this latch, so they are

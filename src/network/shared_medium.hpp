@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "common/ring_buffer.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 #include "network/channel.hpp"  // VcClassRange, LinkCounters
 #include "network/endpoints.hpp"
@@ -294,14 +293,9 @@ class SharedMedium final : public Clocked {
 
   // Dirty lists so eval/commit cost scales with activity, not endpoint count
   // (an OptXB-1024 waveguide has 255 writers; scanning them per cycle would
-  // dominate runtime). Under the parallel kernel routers from different
-  // partitions push into them concurrently during wave 1, hence the mutex;
-  // the commit-time merge is membership-order-independent (each endpoint
-  // appears at most once per cycle, and the merge folds per-endpoint state),
-  // so results stay bit-identical for any arrival order.
-  mutable Mutex dirty_mu_;
-  std::vector<int> dirty_writers_ OWNSIM_GUARDED_BY(dirty_mu_);
-  std::vector<int> dirty_readers_ OWNSIM_GUARDED_BY(dirty_mu_);
+  // dominate runtime). Each endpoint appears at most once per cycle.
+  std::vector<int> dirty_writers_;
+  std::vector<int> dirty_readers_;
   /// Bit w: writer w has a lane with a non-empty `staging` (see
   /// first_staged). One word per 64 writers.
   std::vector<std::uint64_t> staged_writers_;

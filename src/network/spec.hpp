@@ -93,14 +93,6 @@ struct NetworkSpec {
   std::vector<std::vector<RouteEntry>> route_table_alt;
   int alt_min_class = -1;
 
-  /// Optional parallel-kernel partition hint: per-router partition label
-  /// (any integers; Network densifies them). Topology builders set it to the
-  /// natural cluster/group structure so a partition cut follows the physical
-  /// hierarchy — boundary traffic then rides the high-latency inter-cluster
-  /// media, minimizing the per-epoch exchange. Empty = Network falls back to
-  /// contiguous router blocks. Ignored by every kernel except kParallel.
-  std::vector<int> partition_hint;
-
   int num_routers() const { return static_cast<int>(routers.size()); }
   bool has_alt_routing() const { return !route_table_alt.empty(); }
 

@@ -15,7 +15,6 @@ void TraceWriter::begin(std::string name, std::string cat, int pid, int tid,
   e.pid = pid;
   e.tid = tid;
   e.ts = ts;
-  MutexLock lock(mu_);
   events_.push_back(std::move(e));
 }
 
@@ -25,7 +24,6 @@ void TraceWriter::end(int pid, int tid, Cycle ts) {
   e.pid = pid;
   e.tid = tid;
   e.ts = ts;
-  MutexLock lock(mu_);
   events_.push_back(std::move(e));
 }
 
@@ -41,7 +39,6 @@ void TraceWriter::complete(
   e.ts = ts;
   e.dur = dur;
   e.args = std::move(args);
-  MutexLock lock(mu_);
   events_.push_back(std::move(e));
 }
 
@@ -56,7 +53,6 @@ void TraceWriter::instant(
   e.tid = tid;
   e.ts = ts;
   e.args = std::move(args);
-  MutexLock lock(mu_);
   events_.push_back(std::move(e));
 }
 
@@ -66,7 +62,6 @@ void TraceWriter::set_process_name(int pid, const std::string& name) {
   e.name = "process_name";
   e.pid = pid;
   e.args.emplace_back("name", serve::json_string(name));
-  MutexLock lock(mu_);
   events_.push_back(std::move(e));
 }
 
@@ -77,12 +72,10 @@ void TraceWriter::set_thread_name(int pid, int tid, const std::string& name) {
   e.pid = pid;
   e.tid = tid;
   e.args.emplace_back("name", serve::json_string(name));
-  MutexLock lock(mu_);
   events_.push_back(std::move(e));
 }
 
 void TraceWriter::write_json(std::ostream& os) const {
-  MutexLock lock(mu_);
   os << "{\"traceEvents\": [";
   bool first = true;
   for (const TraceEvent& e : events_) {

@@ -15,12 +15,8 @@
 //
 // Recording is observational: components take a nullable `TraceWriter*` and
 // results are bit-identical with tracing on or off (asserted by
-// Obs.TraceDoesNotPerturbResults). Under the parallel kernel (DESIGN.md §5i)
-// components on different partition workers append concurrently, so the
-// buffer is mutex-guarded. The relative order of events recorded within one
-// cycle by different partitions is then scheduling-dependent — simulated
-// results are unaffected (traces are write-only from the simulation's point
-// of view), but a trace recorded under kParallel is not byte-stable.
+// Obs.TraceDoesNotPerturbResults). One writer serves one network's run on
+// one thread, so the buffer takes no lock.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 
 namespace ownsim::obs {
@@ -73,26 +68,16 @@ class TraceWriter {
   void set_process_name(int pid, const std::string& name);
   void set_thread_name(int pid, int tid, const std::string& name);
 
-  /// Direct view of the buffer. Only meaningful while no simulation is
-  /// running (tests inspect it post-run), hence unlocked.
-  const std::vector<TraceEvent>& events() const OWNSIM_NO_THREAD_SAFETY_ANALYSIS {
-    return events_;
-  }
-  std::size_t size() const {
-    MutexLock lock(mu_);
-    return events_.size();
-  }
-  bool empty() const {
-    MutexLock lock(mu_);
-    return events_.empty();
-  }
+  /// Direct view of the buffer (tests inspect it post-run).
+  const std::vector<TraceEvent>& events() const { return events_; }
+  std::size_t size() const { return events_.size(); }
+  bool empty() const { return events_.empty(); }
 
   /// {"traceEvents": [...], "displayTimeUnit": "ms"} — one event per line.
   void write_json(std::ostream& os) const;
 
  private:
-  mutable Mutex mu_;
-  std::vector<TraceEvent> events_ OWNSIM_GUARDED_BY(mu_);
+  std::vector<TraceEvent> events_;
 };
 
 }  // namespace ownsim::obs

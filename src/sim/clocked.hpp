@@ -57,8 +57,8 @@ class Clocked {
 
   /// Brings state deferred while dormant (closed-form catch-up) up to date
   /// through cycle `through`, the last cycle the engine executed. Called by
-  /// `Engine::run`/`run_until` on return under the activity and parallel
-  /// kernels; must not change any later behaviour. No-op by default.
+  /// `Engine::run`/`run_until` on return under the activity kernel; must
+  /// not change any later behaviour. No-op by default.
   virtual void settle(Cycle through) { (void)through; }
 
   /// Asks the engine to evaluate this component at cycle `at` (clamped to
@@ -74,7 +74,7 @@ class Clocked {
   bool scheduled() const { return engine_ != nullptr; }
 
   /// True when the engine may skip this component's cycles: registered with
-  /// an activity or parallel engine. Sleep planning and closed-form catch-up
+  /// an activity-kernel engine. Sleep planning and closed-form catch-up
   /// gate on this, so lockstep (which evaluates every cycle) and manually
   /// driven components pay for neither.
   bool event_driven() const { return event_driven_; }

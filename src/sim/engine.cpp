@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sim/parallel.hpp"
-
 namespace ownsim {
 
 // Defined here (not in clocked.hpp) to break the Clocked <-> Engine include
@@ -21,12 +19,9 @@ const char* to_string(KernelMode mode) {
   switch (mode) {
     case KernelMode::kActivity: return "activity";
     case KernelMode::kLockstep: return "lockstep";
-    case KernelMode::kParallel: return "parallel";
   }
   throw std::logic_error("bad KernelMode");
 }
-
-Engine::Engine() = default;
 
 void Engine::add(Clocked* component) {
   if (component == nullptr) throw std::invalid_argument("Engine::add: null");
@@ -38,27 +33,16 @@ void Engine::add(Clocked* component) {
   component->event_driven_ = mode_ != KernelMode::kLockstep;
   components_.push_back(component);
   // New components start active (lockstep semantics from the next cycle);
-  // idle ones retire after their first evaluated cycle. With a parallel plan
-  // installed, ids past the plan belong to the serial lane (driver extras
-  // keep their exact sequential schedule there).
-  commit_requested_.push_back(0);
-  if (runtime_ != nullptr) {
-    lane_add_active(component->sched_id_);
-  } else {
-    sched_.resize(components_.size());
-    sched_.activate(component->sched_id_);
-  }
+  // idle ones retire after their first evaluated cycle.
+  commit_requested_.push_back(false);
+  sched_.resize(components_.size());
+  sched_.activate(component->sched_id_);
 }
 
 void Engine::set_mode(KernelMode mode) {
   if (now_ != 0) {
     throw std::logic_error(
         "Engine::set_mode: kernels agree only from a cold start (now()==0)");
-  }
-  // Leaving kParallel returns the lane state to the global scheduler so the
-  // selected kernel sees exactly the cold-start picture it expects.
-  if (mode != KernelMode::kParallel && runtime_ != nullptr) {
-    teardown_parallel();
   }
   mode_ = mode;
   for (Clocked* c : components_) {
@@ -71,56 +55,32 @@ void Engine::settle() {
   for (Clocked* c : components_) c->settle(now_ - 1);
 }
 
-std::pair<Scheduler*, int> Engine::owner(int id) {
-  if (runtime_ == nullptr) return {&sched_, id};
-  return {&runtime_->lane(id).sched, runtime_->local_of(id)};
-}
-
 void Engine::wake(Clocked* component, Cycle at) {
   // Lockstep evaluates everything anyway; recording wakes would only fill
   // the ring without ever draining it.
   if (mode_ == KernelMode::kLockstep) return;
   const int id = component->sched_id_;
-  ParallelEvalCtx* ctx = detail::tl_parallel_ctx;
-  if (ctx != nullptr && ctx->engine == this) {
-    // Inside a parallel phase the floor is always ctx->now + 1, so the
-    // active-and-already-due skip below can never fire — boundary wakes go
-    // straight to the staging buffers.
-    parallel_wake(*ctx, id, std::max(at, ctx->now + 1));
-    return;
-  }
   // Mid-step wakes cannot rewind into the executing cycle (the target's eval
   // slot may already be past); between steps, cycle now_ is still upcoming.
   const Cycle floor = stepping_ ? now_ + 1 : now_;
   const Cycle effective = std::max(at, floor);
-  const auto [sched, index] = owner(id);
-  if (effective <= now_ && sched->active(index)) return;
-  sched->post(index, effective, now_);
+  if (effective <= now_ && sched_.active(id)) return;
+  sched_.post(id, effective, now_);
   ++stats_.wakes;
 }
 
 void Engine::commit_request(Clocked* component) {
   if (mode_ == KernelMode::kLockstep) return;
   const int id = component->sched_id_;
-  ParallelEvalCtx* ctx = detail::tl_parallel_ctx;
-  if (ctx != nullptr && ctx->engine == this) {
-    parallel_commit_request(*ctx, id);
+  if (commit_requested_[static_cast<std::size_t>(id)] || sched_.active(id)) {
     return;
   }
-  const auto [sched, index] = owner(id);
-  if (commit_requested_[static_cast<std::size_t>(id)] != 0 ||
-      sched->active(index)) {
-    return;
-  }
-  commit_requested_[static_cast<std::size_t>(id)] = 1;
-  (runtime_ != nullptr ? runtime_->lane(id).commit_extras : commit_extras_)
-      .push_back(id);
+  commit_requested_[static_cast<std::size_t>(id)] = true;
+  commit_extras_.push_back(id);
 }
 
 void Engine::step() {
-  if (runtime_ != nullptr) {
-    parallel_step();
-  } else if (mode_ == KernelMode::kLockstep) {
+  if (mode_ == KernelMode::kLockstep) {
     step_lockstep();
   } else {
     step_activity();
@@ -155,7 +115,7 @@ void Engine::step_activity() {
   }
   for (const int id : commit_extras_) {
     components_[static_cast<std::size_t>(id)]->commit(now_);
-    commit_requested_[static_cast<std::size_t>(id)] = 0;
+    commit_requested_[static_cast<std::size_t>(id)] = false;
   }
   stats_.evals += static_cast<std::int64_t>(sweep.size());
 
@@ -180,9 +140,7 @@ void Engine::step_activity() {
 }
 
 void Engine::skip_to_next_event(Cycle deadline) {
-  const Cycle next =
-      runtime_ != nullptr ? parallel_next_wake() : sched_.next_wake(now_);
-  const Cycle target = std::min(next, deadline);
+  const Cycle target = std::min(sched_.next_wake(now_), deadline);
   if (target > now_) {
     stats_.cycles_skipped += target - now_;
     now_ = target;

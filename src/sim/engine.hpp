@@ -13,17 +13,10 @@
 //  * kLockstep — the original tick-everything loop: eval all, commit all,
 //    now()+1. Escape hatch + differential-testing baseline; selected with
 //    `set_mode` (ExperimentConfig::kernel, key=value `kernel=lockstep`).
-//  * kParallel — activity semantics with the network partitioned across
-//    worker threads (sim/parallel.hpp, DESIGN.md §5i). Behaves exactly like
-//    kActivity until `configure_parallel` installs a partition plan;
-//    selected with `set_mode` (`kernel=parallel`). Bit-identical to both other
-//    kernels for any partition count and thread count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -35,22 +28,15 @@ namespace ownsim {
 enum class KernelMode {
   kActivity,  ///< active set + wake ring + idle skip-ahead
   kLockstep,  ///< eval/commit every component every cycle
-  kParallel,  ///< activity semantics, partitions evaluated on worker threads
 };
 
-/// "activity" | "lockstep" | "parallel" (the key=value `kernel` names).
+/// "activity" | "lockstep" (the key=value `kernel` names).
 const char* to_string(KernelMode mode);
-
-class ParallelRuntime;
-struct ParallelEvalCtx;
-struct ParallelLane;
-struct ParallelPlan;
 
 class Engine {
  public:
   /// Mode defaults to kActivity; `set_mode` selects another kernel.
-  Engine();
-  ~Engine();
+  Engine() = default;
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -62,18 +48,9 @@ class Engine {
   void add(Clocked* component);
 
   /// Selects the kernel. Only allowed before the first cycle (now() == 0):
-  /// the kernels agree on component state only from a cold start. Switching
-  /// away from kParallel tears down any configured partition runtime.
+  /// the kernels agree on component state only from a cold start.
   void set_mode(KernelMode mode);
   KernelMode mode() const { return mode_; }
-
-  /// Installs a partition plan and spins up `threads` workers for the
-  /// kParallel kernel (requires mode() == kParallel and now() == 0; the plan
-  /// must cover the components registered so far — later additions fall into
-  /// the serial lane). Replaces any previous plan. The worker count is
-  /// clamped to [1, plan.num_partitions].
-  void configure_parallel(ParallelPlan plan, unsigned threads);
-  bool parallel_configured() const { return runtime_ != nullptr; }
 
   /// Current cycle (number of completed steps).
   Cycle now() const { return now_; }
@@ -98,7 +75,7 @@ class Engine {
   std::size_t num_components() const { return components_.size(); }
 
   /// Components currently in the active set (diagnostics/tests).
-  std::size_t num_active() const;
+  std::size_t num_active() const { return sched_.num_active(); }
 
   /// Kernel statistics (observational; reset never, monotone within a run).
   struct Stats {
@@ -107,13 +84,10 @@ class Engine {
     std::int64_t evals = 0;           ///< component evals performed
     std::int64_t wakes = 0;           ///< wakeups posted, duplicates included
   };
-  /// Aggregated over the partition lanes when a parallel plan is configured.
-  /// Safe to call between cycles and from the serial phase (workers parked).
-  Stats stats() const;
+  Stats stats() const { return stats_; }
 
  private:
   friend class Clocked;
-  friend class ParallelRuntime;
 
   /// Posts a wakeup for `component` at cycle `at` (clamped: never before the
   /// next cycle the engine will execute). Called via Clocked::request_wake.
@@ -126,49 +100,19 @@ class Engine {
   void step_lockstep();
   void step_activity();
 
-  /// Calls `settle(now_ - 1)` on every component (activity and parallel
-  /// kernels; lockstep defers nothing). From the coordinator only.
+  /// Calls `settle(now_ - 1)` on every component (activity kernel; lockstep
+  /// defers nothing).
   void settle();
 
   /// True when no component is active and no wakeup is due at `now_`
   /// (then nothing can change until the scheduler's next wake).
   bool globally_idle() const {
-    if (runtime_ != nullptr) return parallel_globally_idle();
     return mode_ != KernelMode::kLockstep && !sched_.any_active() &&
            sched_.next_wake(now_) > now_;
   }
 
-  /// The scheduler that owns component `id` (the engine's own, or its
-  /// parallel lane's) and the id's index in it.
-  std::pair<Scheduler*, int> owner(int id);
-
   /// Jumps `now_` to the next wakeup, clamped to `deadline`.
   void skip_to_next_event(Cycle deadline);
-
-  // --- Parallel kernel (engine_parallel.cpp). Once `configure_parallel`
-  // installed a runtime, the per-lane schedulers ARE the scheduler state;
-  // the engine's `sched_` stays empty until teardown.
-  void teardown_parallel();
-  void distribute_to_lanes();
-  void collect_from_lanes();
-  void parallel_step();
-  bool parallel_globally_idle() const;
-  Cycle parallel_next_wake() const;  ///< earliest pending wake of any lane
-  void parallel_worker(ParallelRuntime* rt, int slot);
-  using LanePhase = void (Engine::*)(ParallelRuntime&, int, Cycle);
-  /// Runs `phase` over worker `slot`'s lanes; the first exception parks the
-  /// slot (recorded in the runtime, rethrown by the coordinator).
-  void run_slot(ParallelRuntime& rt, int slot, LanePhase phase, Cycle now);
-  void run_lane_front(ParallelRuntime& rt, int lane_index, Cycle now);
-  void run_lane_wave2(ParallelRuntime& rt, int lane_index, Cycle now);
-  /// Evaluates the lane's sweep entries [begin, end) in its context.
-  void eval_lane(ParallelLane& lane, int lane_index, Cycle now,
-                 std::vector<int>::const_iterator begin,
-                 std::vector<int>::const_iterator end);
-  void finish_lane(ParallelRuntime& rt, int lane_index, Cycle now);
-  void parallel_wake(ParallelEvalCtx& ctx, int id, Cycle effective);
-  void parallel_commit_request(ParallelEvalCtx& ctx, int id);
-  void lane_add_active(int id);
 
   std::vector<Clocked*> components_;
   Cycle now_ = 0;
@@ -176,13 +120,10 @@ class Engine {
 
   Scheduler sched_;  ///< activity-kernel active set + wakes, by component id
   std::vector<int> commit_extras_;  ///< dormant ids to commit this cycle
-  /// Per id, cleared per cycle. Bytes, not vector<bool>: under the parallel
-  /// kernel distinct lanes flip distinct ids from distinct threads.
-  std::vector<unsigned char> commit_requested_;
+  std::vector<bool> commit_requested_;  ///< per id, cleared per cycle
   bool stepping_ = false;  ///< inside step(): same-cycle wakes defer to now+1
 
   Stats stats_;
-  std::unique_ptr<ParallelRuntime> runtime_;
 };
 
 }  // namespace ownsim

@@ -301,7 +301,7 @@ NetworkSpec load_topofile(const std::string& text,
   const Json::Object root = parse_root(text);
   check_keys(root, "top level",
              {"topofile", "name", "emulates", "nodes", "concentration",
-              "attach", "min_vcs", "routers", "partitions", "positions_mm",
+              "attach", "min_vcs", "routers", "positions_mm",
               "bisection", "links", "media", "routing"});
 
   NetworkSpec spec;
@@ -376,22 +376,6 @@ NetworkSpec load_topofile(const std::string& text,
              std::to_string(router) + " out of range");
       }
       spec.nodes[static_cast<std::size_t>(n)].router = router;
-    }
-  }
-
-  // Optional parallel-kernel partition hint, RLE [count, label] pairs.
-  if (const auto it = root.find("partitions"); it != root.end()) {
-    for (const Json& pair : it->second.as_array()) {
-      const Json::Array& rle = pair.as_array();
-      if (rle.size() != 2) fail("partitions: want [count, label] pairs");
-      const int count = static_cast<int>(rle[0].as_int());
-      const int label = static_cast<int>(rle[1].as_int());
-      if (count < 1) fail("partitions: bad count");
-      spec.partition_hint.insert(spec.partition_hint.end(),
-                                 static_cast<std::size_t>(count), label);
-    }
-    if (static_cast<int>(spec.partition_hint.size()) != num_routers) {
-      fail("partitions: labels must cover every router exactly once");
     }
   }
 
@@ -628,21 +612,6 @@ std::string export_topofile(const NetworkSpec& spec,
     r += count;
   }
   root["routers"] = Json(std::move(routers));
-
-  if (!spec.partition_hint.empty()) {
-    Json::Array partitions;
-    for (std::size_t r = 0; r < spec.partition_hint.size();) {
-      std::size_t count = 1;
-      while (r + count < spec.partition_hint.size() &&
-             spec.partition_hint[r + count] == spec.partition_hint[r]) {
-        ++count;
-      }
-      partitions.push_back(Json(Json::Array{
-          Json(static_cast<int>(count)), Json(spec.partition_hint[r])}));
-      r += count;
-    }
-    root["partitions"] = Json(std::move(partitions));
-  }
 
   if (!spec.router_xy.empty()) {
     Json::Array positions;

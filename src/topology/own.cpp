@@ -55,15 +55,6 @@ void add_cluster_waveguides(NetworkSpec& spec, const TopologyOptions& options,
   }
 }
 
-// One partition per physical cluster, so a parallel-kernel partition cut
-// crosses only inter-cluster media (wireless / gateway hops).
-void fill_cluster_partitions(NetworkSpec& spec) {
-  spec.partition_hint.resize(spec.routers.size());
-  for (std::size_t r = 0; r < spec.routers.size(); ++r) {
-    spec.partition_hint[r] = static_cast<int>(r) / kOwnTilesPerCluster;
-  }
-}
-
 // Tile hosting each antenna (index = Antenna enum) for a placement. For the
 // kCenter strawman every cluster puts its transceivers on the 2x2 tile block
 // nearest the CHIP center ("all the wireless transceivers ... in close
@@ -164,7 +155,6 @@ NetworkSpec build_own256_floorplan(const TopologyOptions& options,
     spec.routers[link.dst_router].num_net_in = kWirelessIn + 1;
     spec.links.push_back(link);
   }
-  fill_cluster_partitions(spec);
   fill_own_positions(spec, 1);
   return spec;
 }
@@ -312,7 +302,6 @@ NetworkSpec build_own1024(const TopologyOptions& options) {
       spec.route_table[r][d] = entry;
     }
   }
-  fill_cluster_partitions(spec);
   fill_own_positions(spec, 4);
   return spec;
 }

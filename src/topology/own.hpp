@@ -52,7 +52,7 @@ NetworkSpec build_own256_placed(const TopologyOptions& options,
 /// MWSR home waveguide per tile (token ring, or ideal arbitration under
 /// options.ideal_arbitration) named `<waveguide_prefix><cluster>t<tile>`,
 /// one point-to-point wireless link per entry of `channels` (its endpoints
-/// get the gateway ports), the per-cluster partition hint and router_xy.
+/// get the gateway ports) and router_xy.
 /// Name, VC classes and route table are left to the variant's builder.
 NetworkSpec build_own256_floorplan(
     const TopologyOptions& options, const std::vector<OwnChannel>& channels,

@@ -155,8 +155,8 @@ TEST(AdaptRun, DisabledKnobsAreInert) {
 
 TEST(AdaptRun, KernelsBitIdentical) {
   // The full loop — live BER, backoff, re-allocation — must produce the
-  // same bytes in every kernel for any thread/partition count (§5k): the
-  // controller registers last and mutates only between cycles.
+  // same bytes in both kernels (§5k): the controller registers last and
+  // mutates only between cycles.
   ExperimentConfig config = adapt_experiment();
   config.pattern = PatternKind::kHotspot;
   config.rate = 0.002;
@@ -171,14 +171,6 @@ TEST(AdaptRun, KernelsBitIdentical) {
   config.kernel = KernelMode::kLockstep;
   const std::string lockstep = experiment_result_json(run_experiment(config));
   EXPECT_EQ(activity, lockstep);
-
-  config.kernel = KernelMode::kParallel;
-  config.threads = 2;
-  config.partitions = 7;
-  EXPECT_EQ(activity, experiment_result_json(run_experiment(config)));
-  config.threads = 4;
-  config.partitions = 0;  // topology's own partition hint
-  EXPECT_EQ(activity, experiment_result_json(run_experiment(config)));
 }
 
 TEST(AdaptRun, LiveBerFeedsTheReliabilityPath) {

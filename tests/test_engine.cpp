@@ -559,14 +559,13 @@ TEST(KernelParity, DrainPhaseSkipsAhead) {
   EXPECT_LT(stats.cycles_stepped, activity.cycles_simulated);
 }
 
-/// OWN-256 replaying `trace` until drained under `mode` (4 threads for the
-/// parallel kernel); the final cycle, report JSON and every obs counter.
+/// OWN-256 replaying `trace` until drained under `mode`; the final cycle,
+/// report JSON and every obs counter.
 std::string bursty_replay_report(KernelMode mode, const Trace& trace) {
   TopologyOptions options;
   options.num_cores = 256;
   Network network(build_topology(TopologyKind::kOwn, options));
   network.engine().set_mode(mode);
-  if (mode == KernelMode::kParallel) network.configure_parallel(4);
   TraceInjector injector(&network, trace);
   injector.set_measure_window(0, kNeverCycle);
   network.engine().add(&injector);
@@ -599,7 +598,6 @@ TEST(KernelParity, BurstyTraceReplay) {
   const std::string lockstep =
       bursty_replay_report(KernelMode::kLockstep, trace);
   EXPECT_EQ(lockstep, bursty_replay_report(KernelMode::kActivity, trace));
-  EXPECT_EQ(lockstep, bursty_replay_report(KernelMode::kParallel, trace));
 }
 
 }  // namespace

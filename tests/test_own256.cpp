@@ -173,7 +173,6 @@ TEST(Own256Floorplan, CampaignCapableSpecMatchesPlainBuild) {
     EXPECT_EQ(capable.router_xy[r].second.value(),
               plain.router_xy[r].second.value()) << r;
   }
-  EXPECT_EQ(capable.partition_hint, plain.partition_hint);
 }
 
 TEST(Own256Floorplan, CampaignCapableBuildHonoursIdealArbitration) {

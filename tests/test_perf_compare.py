@@ -123,7 +123,7 @@ class PerfCompareTest(unittest.TestCase):
         self.assertEqual(
             self.run_main(base, cur, "--tol-deterministic", "0.05"), 0)
 
-    # ---- schema v2 (kernel/threads keys) + floors -------------------------
+    # ---- schema v2 (kernel/threads keys) -----------------------------------
 
     def test_v1_baseline_pairs_with_v2_activity_record(self):
         v1 = record()
@@ -147,86 +147,17 @@ class PerfCompareTest(unittest.TestCase):
         # Same bench+config under two kernels: different keys, no pairing,
         # so wildly different wall times are fine.
         act = record()
-        par = record()
-        par["kernel"] = "parallel"
-        par["threads"] = 8
-        par["metrics"] = [dict(par["metrics"][0]),
-                          dict(par["metrics"][1], value=0.25)]
-        base = self.write("base.json", [act, par])
-        cur = self.write("cur.json", [act, par])
+        lock = record()
+        lock["kernel"] = "lockstep"
+        lock["threads"] = 8
+        lock["metrics"] = [dict(lock["metrics"][0]),
+                           dict(lock["metrics"][1], value=0.25)]
+        base = self.write("base.json", [act, lock])
+        cur = self.write("cur.json", [act, lock])
         self.assertEqual(self.run_main(base, cur), 0)
         records = perf_compare.load_records(base)
         self.assertIn(("bench_x", "quick", "activity", 1), records)
-        self.assertIn(("bench_x", "quick", "parallel", 8), records)
-
-    def test_floor_passes_and_fails_higher_is_better(self):
-        speedup = {"name": "speedup_vs_activity", "value": 2.5, "unit": "x",
-                   "deterministic": False, "better": "higher"}
-        rec = record(metrics=[speedup])
-        base = self.write("base.json", [rec])
-        cur = self.write("cur.json", [rec])
-        self.assertEqual(
-            self.run_main(base, cur, "--floor", "speedup_vs_activity=2.0"), 0)
-        self.assertEqual(
-            self.run_main(base, cur, "--floor", "speedup_vs_activity=3.0"), 1)
-
-    def test_floor_direction_aware_lower_is_better(self):
-        wall = {"name": "wall_seconds", "value": 2.0, "unit": "s",
-                "deterministic": False, "better": "lower"}
-        rec = record(metrics=[wall])
-        base = self.write("base.json", [rec])
-        cur = self.write("cur.json", [rec])
-        # better="lower": the bound is a ceiling.
-        self.assertEqual(
-            self.run_main(base, cur, "--floor", "wall_seconds=5.0"), 0)
-        self.assertEqual(
-            self.run_main(base, cur, "--floor", "wall_seconds=1.0"), 1)
-
-    def test_floor_violation_fails_even_under_advisory(self):
-        speedup = {"name": "speedup_vs_activity", "value": 0.5, "unit": "x",
-                   "deterministic": False, "better": "higher"}
-        rec = record(metrics=[speedup])
-        base = self.write("base.json", [rec])
-        cur = self.write("cur.json", [rec])
-        self.assertEqual(
-            self.run_main(base, cur, "--advisory",
-                          "--floor", "speedup_vs_activity=1.0"), 1)
-
-    def test_floor_on_absent_metric_fails(self):
-        base = self.write("base.json", [record()])
-        cur = self.write("cur.json", [record()])
-        self.assertEqual(
-            self.run_main(base, cur, "--floor", "no_such_metric=1.0"), 1)
-
-    def test_config_qualified_floor_targets_one_regime(self):
-        # The parallel speedup promise holds on the saturated point only: a
-        # CONFIG:NAME floor must gate that record and ignore the idle one.
-        def speedup(value):
-            return {"name": "speedup_vs_activity", "value": value, "unit": "x",
-                    "deterministic": False, "better": "higher"}
-        idle = record(metrics=[speedup(0.9)])
-        idle["config"] = "quick.own256-idle"
-        hot = record(metrics=[speedup(2.4)])
-        hot["config"] = "quick.own1024-hot"
-        base = self.write("base.json", [idle, hot])
-        cur = self.write("cur.json", [idle, hot])
-        self.assertEqual(
-            self.run_main(base, cur, "--floor",
-                          "quick.own1024-hot:speedup_vs_activity=1.0"), 0)
-        # Unqualified, the sub-1.0 idle record violates the same bound.
-        self.assertEqual(
-            self.run_main(base, cur, "--floor", "speedup_vs_activity=1.0"), 1)
-        # A qualified floor whose config never shows up was not measured.
-        self.assertEqual(
-            self.run_main(base, cur, "--floor",
-                          "full.own1024-hot:speedup_vs_activity=1.0"), 1)
-
-    def test_malformed_floor_exits_2(self):
-        base = self.write("base.json", [record()])
-        cur = self.write("cur.json", [record()])
-        self.assertEqual(self.run_main(base, cur, "--floor", "junk"), 2)
-        self.assertEqual(self.run_main(base, cur, "--floor", "x=notnum"), 2)
-        self.assertEqual(self.run_main(base, cur, "--floor", ":x=1.0"), 2)
+        self.assertIn(("bench_x", "quick", "lockstep", 8), records)
 
 
 if __name__ == "__main__":

@@ -18,21 +18,9 @@ Comparison rules, per metric:
     only fail in the *worse* direction given the metric's "better" field
     ("lower" means an increase is a regression); "either" never fails.
 
-Floors (--floor NAME=BOUND or --floor CONFIG:NAME=BOUND, repeatable) check
-CURRENT values against an absolute bound, direction-aware via the metric's
-"better" field: a better="higher" metric must be >= BOUND, a better="lower"
-metric <= BOUND. The qualified form restricts the floor to records whose
-`config` field equals CONFIG (a promise can hold in one regime only — e.g.
-the parallel-kernel speedup on the saturated point but not the idle one).
-A floor violation fails the run EVEN UNDER --advisory — floors encode hard
-promises (e.g. "the parallel kernel is not slower than the sequential one"),
-not noisy wall-clock baselines. A floor whose metric never appears in the
-current file (within its CONFIG, if qualified) is itself a failure (the
-promise was not measured).
-
 Exit codes:
-  0  no regressions (or --advisory with no floor violations)
-  1  at least one regression / floor violation
+  0  no regressions (or --advisory)
+  1  at least one regression
   2  malformed input / schema mismatch
 """
 from __future__ import annotations
@@ -147,55 +135,6 @@ def compare(baseline, current, tol_deterministic, tol_wall):
                 yield "info", detail + " (improved)"
 
 
-def parse_floors(specs):
-    """Parses repeated [CONFIG:]NAME=BOUND options -> {(config, name): bound};
-    config is None for unqualified floors (all records)."""
-    floors = {}
-    for spec in specs:
-        qualified, sep, bound = spec.partition("=")
-        if not sep or not qualified:
-            raise FormatError(f"--floor {spec!r}: expected [CONFIG:]NAME=BOUND")
-        config, sep, name = qualified.rpartition(":")
-        if not sep:
-            config, name = None, qualified
-        if not name or (sep and not config):
-            raise FormatError(f"--floor {spec!r}: expected [CONFIG:]NAME=BOUND")
-        try:
-            floors[(config, name)] = float(bound)
-        except ValueError as err:
-            raise FormatError(
-                f"--floor {spec!r}: bound is not a number") from err
-    return floors
-
-
-def check_floors(current, floors):
-    """Yields (violated, message) per floor, direction-aware per metric."""
-    def floor_label(config, name):
-        return name if config is None else f"{config}:{name}"
-
-    for config, name in sorted(floors, key=lambda k: (k[0] or "", k[1])):
-        bound = floors[(config, name)]
-        matches = [(key, metrics[name]) for key, metrics in sorted(
-            current.items())
-            if name in metrics and (config is None or key[1] == config)]
-        if not matches:
-            yield True, (f"floor {floor_label(config, name)}={bound}: metric "
-                         f"not present in current results")
-            continue
-        for key, metric in matches:
-            value = float(metric["value"])
-            better = metric.get("better", "higher")
-            if better == "lower":
-                violated = value > bound
-                op = "<="
-            else:
-                violated = value < bound
-                op = ">="
-            state = "VIOLATED" if violated else "ok"
-            yield violated, (f"floor {record_label(key)}.{name} {op} {bound}: "
-                             f"measured {value} [{state}]")
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", help="baseline JSONL file")
@@ -206,21 +145,12 @@ def main(argv=None):
     parser.add_argument("--tol-wall", type=float, default=0.5,
                         help="relative tolerance for wall-clock metrics "
                              "(default 0.5 = 50%%)")
-    parser.add_argument("--floor", action="append", default=[],
-                        metavar="[CONFIG:]NAME=BOUND",
-                        help="absolute bound on a current metric (better="
-                             "'higher': value must be >= BOUND; better="
-                             "'lower': <= BOUND), optionally restricted to "
-                             "records with a given config; violations fail "
-                             "even under --advisory; repeatable")
     parser.add_argument("--advisory", action="store_true",
                         help="report baseline regressions but exit 0 for "
-                             "them (shared-runner CI: wall time is noisy); "
-                             "floor violations still fail")
+                             "them (shared-runner CI: wall time is noisy)")
     args = parser.parse_args(argv)
 
     try:
-        floors = parse_floors(args.floor)
         baseline = load_records(args.baseline)
         current = load_records(args.current)
     except FormatError as err:
@@ -234,17 +164,9 @@ def main(argv=None):
         print(f"[{prefix}] {message}")
         if severity == "regression":
             regressions += 1
-    floor_violations = 0
-    for violated, message in check_floors(current, floors):
-        print(f"[{'FLOOR' if violated else 'info'}] {message}")
-        if violated:
-            floor_violations += 1
     total_metrics = sum(len(m) for m in current.values())
     print(f"perf_compare: {total_metrics} metric(s) across "
-          f"{len(current)} bench(es); {regressions} regression(s); "
-          f"{floor_violations} floor violation(s)")
-    if floor_violations:
-        return 1
+          f"{len(current)} bench(es); {regressions} regression(s)")
     if regressions and args.advisory:
         print("perf_compare: advisory mode, not failing the build")
         return 0
