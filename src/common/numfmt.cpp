@@ -27,10 +27,4 @@ std::string format_int(std::int64_t value) {
   return std::string(buf, r.ptr);
 }
 
-std::string format_uint(std::uint64_t value) {
-  char buf[24];
-  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), value);
-  return std::string(buf, r.ptr);
-}
-
 }  // namespace ownsim

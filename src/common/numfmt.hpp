@@ -21,6 +21,5 @@ std::string format_double(double value);
 
 /// Exact decimal forms (no locale, no sign surprises).
 std::string format_int(std::int64_t value);
-std::string format_uint(std::uint64_t value);
 
 }  // namespace ownsim

@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace ownsim {
@@ -15,35 +14,8 @@ void RunningStat::add(double x) {
     max_ = std::max(max_, x);
   }
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
-
-void RunningStat::merge(const RunningStat& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void RunningStat::reset() { *this = RunningStat{}; }
-
-double RunningStat::variance() const {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
@@ -64,11 +36,6 @@ void Histogram::add(double x) {
     idx = std::min(idx, counts_.size() - 1);  // guard fp edge at hi_
     ++counts_[idx];
   }
-}
-
-void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), std::int64_t{0});
-  underflow_ = overflow_ = total_ = 0;
 }
 
 double Histogram::quantile(double q) const {

@@ -1,7 +1,7 @@
 // Streaming statistics accumulators.
 //
-// `RunningStat` keeps count/mean/variance/min/max in O(1) memory (Welford's
-// update). `Histogram` keeps a fixed-width binned distribution with overflow
+// `RunningStat` keeps count/mean/min/max in O(1) memory (Welford's running
+// mean). `Histogram` keeps a fixed-width binned distribution with overflow
 // tracking so latency distributions can be reported without storing samples.
 #pragma once
 
@@ -11,26 +11,20 @@
 
 namespace ownsim {
 
-/// Single-pass mean/variance/min/max accumulator (Welford).
+/// Single-pass mean/min/max accumulator (Welford's running mean).
 class RunningStat {
  public:
   void add(double x);
-  void merge(const RunningStat& other);
-  void reset();
 
   std::int64_t count() const { return count_; }
   double sum() const { return mean_ * static_cast<double>(count_); }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than 2 samples.
-  double variance() const;
-  double stddev() const;
   double min() const { return count_ > 0 ? min_ : 0.0; }
   double max() const { return count_ > 0 ? max_ : 0.0; }
 
  private:
   std::int64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -43,7 +37,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x);
-  void reset();
 
   std::int64_t total() const { return total_; }
   std::int64_t underflow() const { return underflow_; }

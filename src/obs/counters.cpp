@@ -21,10 +21,6 @@ bool Registry::contains(std::string_view name) const {
   return slots_.find(name) != slots_.end();
 }
 
-void Registry::reset() {
-  for (auto& [name, value] : slots_) value = 0;
-}
-
 void Registry::for_each(
     const std::function<void(const std::string&, std::int64_t)>& fn) const {
   for (const auto& [name, value] : slots_) fn(name, value);

@@ -52,19 +52,6 @@ TEST(ObsRegistry, DuplicateRegistrationSharesSlot) {
   EXPECT_EQ(registry.size(), 1u);
 }
 
-TEST(ObsRegistry, ResetZeroesButKeepsHandlesBound) {
-  obs::Registry registry;
-  obs::Counter counter = registry.counter("c");
-  obs::Gauge gauge = registry.gauge("g");
-  counter.add(7);
-  gauge.observe_max(9);
-  registry.reset();
-  EXPECT_EQ(registry.value("c"), 0);
-  EXPECT_EQ(registry.value("g"), 0);
-  counter.inc();  // handle survived the reset
-  EXPECT_EQ(registry.value("c"), 1);
-}
-
 TEST(ObsRegistry, GaugeKeepsMaximum) {
   obs::Registry registry;
   obs::Gauge gauge = registry.gauge("highwater");
