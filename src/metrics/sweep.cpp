@@ -93,11 +93,16 @@ SweepResult latency_sweep(const NetworkFactory& factory,
   // Every load point is one pool task over its own fresh network; task i
   // derives injector stream i from the sweep's master seed, so the per-point
   // simulation is a pure function of (factory, options, i) — identical for
-  // any thread count and any completion order.
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(num_tasks);
-  for (std::size_t i = 0; i < num_tasks; ++i) {
-    tasks.push_back(pool.submit([&, i] {
+  // any thread count, any submission order and any completion order.
+  // A sweep that runs every point submits the highest rate first and the
+  // probe last: a point costs more the higher its load, and starting the
+  // longest first keeps one late saturated point from ending the sweep
+  // alone. One that may cancel its tail keeps rates ascending, so the knee
+  // settles before the speculative points past it start.
+  std::vector<std::future<void>> tasks(num_tasks);
+  for (std::size_t k = 0; k < num_tasks; ++k) {
+    const std::size_t i = options.stop_after_saturation ? k : num_tasks - 1 - k;
+    tasks[i] = pool.submit([&, i] {
       const exec::CancellationToken token =
           i == 0 ? exec::CancellationToken{} : state.cancels[i].token();
       std::optional<RunResult> result;
@@ -133,9 +138,9 @@ SweepResult latency_sweep(const NetworkFactory& factory,
         ++state.cancelled;
       }
       maybe_cancel_tail(state, options);
-    }));
+    });
   }
-  // Rethrows the first task exception (factory failures etc.) in submission
+  // Rethrows the first task exception (factory failures etc.) in point
   // order, after every task settled.
   for (std::future<void>& task : tasks) task.get();
 

@@ -9,10 +9,14 @@
 // an `exec::ThreadPool` (`SweepOptions::threads`). Determinism contract:
 // every point derives its injector seed from `master_seed` + its point
 // index (SplitMix64 stream scheme), so the `SweepResult` is bit-identical
-// for any thread count, including 1. With `stop_after_saturation` the
-// parallel sweep runs points past the knee speculatively and cancels them
-// cooperatively once the first saturated point is confirmed; speculative
-// results are discarded, preserving the serial stop-at-saturation result.
+// for any thread count, including 1, and any order the points run in.
+// Order rule: with `stop_after_saturation` the points start in ascending
+// rate order after the zero-load probe; the parallel sweep runs points past
+// the knee speculatively and cancels them cooperatively once the first
+// saturated point is confirmed; speculative results are discarded,
+// preserving the serial stop-at-saturation result. Without it every point
+// runs, so they start costliest first: the highest rate first, descending,
+// and the probe last.
 #pragma once
 
 #include <cstdint>

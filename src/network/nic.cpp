@@ -27,22 +27,16 @@ PacketId Nic::enqueue_packet(NodeId src, NodeId dst, RouterId dst_router,
   assert(size_flits >= 1);
   auto& port = ports_.at(static_cast<std::size_t>(src));
   const PacketId id = next_packet_++;
-  for (int s = 0; s < size_flits; ++s) {
-    Flit flit;
-    flit.packet = id;
-    flit.src = src;
-    flit.dst = dst;
-    flit.dst_router = dst_router;
-    flit.head = (s == 0);
-    flit.tail = (s == size_flits - 1);
-    flit.seq = static_cast<std::int16_t>(s);
-    flit.packet_size = static_cast<std::int16_t>(size_flits);
-    flit.vc_class = static_cast<std::int8_t>(vc_class);
-    flit.created = now;
-    flit.measured = measured;
-    flit.size_bits = flit_bits;
-    port.queue.push_back(flit);
-  }
+  QueuedPacket packet;
+  packet.id = id;
+  packet.created = now;
+  packet.dst = dst;
+  packet.dst_router = dst_router;
+  packet.flit_bits = flit_bits;
+  packet.size = static_cast<std::int16_t>(size_flits);
+  packet.vc_class = static_cast<std::int8_t>(vc_class);
+  packet.measured = measured;
+  port.queue.push_back(packet);
   queued_flits_ += size_flits;
   ++packets_created_;
   ready_[static_cast<std::size_t>(src) / 64] |= std::uint64_t{1} << (src % 64);
@@ -77,30 +71,41 @@ void Nic::visit(NodeId node, Cycle now) {
   // port again when a credit opens it.
   bool keep = false;
   if (port.inject != nullptr && !port.queue.empty()) {
-    Flit& flit = port.queue.front();
-    if (flit.head && port.open_vc == kInvalidId) {
-      port.open_vc = port.inject->alloc_vc(flit.vc_class, now);
+    const QueuedPacket& packet = port.queue.front();
+    if (port.next_seq == 0 && port.open_vc == kInvalidId) {
+      port.open_vc = port.inject->alloc_vc(packet.vc_class, now);
     }
-    if (port.open_vc != kInvalidId) {
+    if (port.open_vc != kInvalidId &&
+        port.inject->gate().admits(port.open_vc, now)) {
+      // Every flit carries its head's injection time, so the tail brings it
+      // to ejection.
+      if (port.next_seq == 0) port.head_injected = now;
+      Flit flit;
+      flit.packet = packet.id;
+      flit.src = node;
+      flit.dst = packet.dst;
+      flit.dst_router = packet.dst_router;
+      flit.head = port.next_seq == 0;
+      flit.tail = port.next_seq == packet.size - 1;
+      flit.seq = port.next_seq;
+      flit.packet_size = packet.size;
       flit.vc = port.open_vc;
-      if (port.inject->gate().admits(flit.vc, now)) {
-        if (flit.head) {
-          // Stamp the whole packet (its flits are contiguous at the queue
-          // front) so the tail flit carries the injection time to ejection.
-          for (std::size_t k = 0;
-               k < port.queue.size() && port.queue[k].packet == flit.packet;
-               ++k) {
-            port.queue[k].injected = now;
-          }
-        }
-        const bool tail = flit.tail;
-        port.inject->accept(flit, now);
+      flit.vc_class = packet.vc_class;
+      flit.created = packet.created;
+      flit.injected = port.head_injected;
+      flit.measured = packet.measured;
+      flit.size_bits = packet.flit_bits;
+      port.inject->accept(flit, now);
+      --queued_flits_;
+      ++flits_injected_;
+      if (flit.tail) {
         port.queue.pop_front();
-        --queued_flits_;
-        ++flits_injected_;
-        if (tail) port.open_vc = kInvalidId;
-        keep = !port.queue.empty();
+        port.next_seq = 0;
+        port.open_vc = kInvalidId;
+      } else {
+        ++port.next_seq;
       }
+      keep = !port.queue.empty();
     }
   }
   if (!keep) word &= ~mask;

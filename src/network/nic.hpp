@@ -7,7 +7,8 @@
 //
 // Source queues are unbounded so that offered load beyond saturation is
 // measurable (accepted throughput flattens while queues grow) — the standard
-// open-loop methodology for latency/throughput curves (Fig 7b,c).
+// open-loop methodology for latency/throughput curves (Fig 7b,c). They hold
+// one 32-byte record per packet; each flit is built from it at injection.
 #pragma once
 
 #include <cstdint>
@@ -83,11 +84,26 @@ class Nic final : public Clocked {
   }
 
  private:
+  /// A queued packet: what its flits share.
+  struct QueuedPacket {
+    PacketId id = -1;
+    Cycle created = 0;
+    NodeId dst = kInvalidId;
+    RouterId dst_router = kInvalidId;
+    std::uint32_t flit_bits = 0;
+    std::int16_t size = 1;     ///< flits
+    std::int8_t vc_class = 0;  ///< first-hop class
+    bool measured = false;
+  };
+  static_assert(sizeof(QueuedPacket) == 32);
+
   struct Port {
     OutputEndpoint* inject = nullptr;
     InputEndpoint* eject = nullptr;
-    std::deque<Flit> queue;
+    std::deque<QueuedPacket> queue;
+    std::int16_t next_seq = 0;  ///< next flit of the front packet
     VcId open_vc = kInvalidId;  ///< VC of the packet currently injecting
+    Cycle head_injected = 0;    ///< when the front packet's head went out
   };
 
   /// One port's injection step then ejection step, as `eval` visits it.

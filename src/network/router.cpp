@@ -37,6 +37,7 @@ Router::Router(Params params, const std::vector<VcClassRange>* classes,
   }
   outputs_.resize(static_cast<std::size_t>(params_.num_outputs));
   for (auto& out : outputs_) out.gate = &kShutGate;
+  sa_waited_.assign((outputs_.size() + 63) / 64, 0);
   sa_request_.assign(inputs_.size(), -1);
   sa_winners_.reserve(inputs_.size());
   grant_key_.assign(outputs_.size(), -1);
@@ -108,25 +109,24 @@ void Router::eval(Cycle now) {
 void Router::plan_sleep(Cycle now) {
   // Arrivals wake the router (sink wakes), so only the buffered flits
   // decide: the next eval is a no-op unless RC, VCA or SA can act on one.
+  // Parked VCs cannot act. Every unparked VCA VC may be granted: stage_vca
+  // left none behind, and stage_rc parked each new one that cannot.
   stalled_ = false;
   if (occupancy_ == 0) return;
   const Cycle next = now + 1;
-  for (const auto& port : inputs_) {
-    if (port.routing != 0) return;
-    for (std::uint64_t m = port.vca; m != 0; m &= m - 1) {
-      const auto& vc = port.vcs[static_cast<std::size_t>(std::countr_zero(m))];
-      const auto& out = outputs_[static_cast<std::size_t>(vc.route.out_port)];
-      if (out.endpoint != nullptr &&
-          (out.refused & bit(vc.route.vc_class)) == 0) {
-        return;
-      }
-    }
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    auto& port = inputs_[i];
+    if ((port.routing | port.vca) != 0) return;
     for (std::uint64_t m = port.ready; m != 0; m &= m - 1) {
-      const auto& vc = port.vcs[static_cast<std::size_t>(std::countr_zero(m))];
+      const int v = std::countr_zero(m);
+      const auto& vc = port.vcs[static_cast<std::size_t>(v)];
       auto& out = outputs_[static_cast<std::size_t>(vc.route.out_port)];
       const OutputGate& gate = *out.gate;
       // A closed bit opens only through the endpoint, which then wakes us.
-      if (((gate.closed >> vc.out_vc) & 1) != 0) continue;
+      if (((gate.closed >> vc.out_vc) & 1) != 0) {
+        park_sa(static_cast<int>(i), v);
+        continue;
+      }
       if (gate.free_at <= next) return;
       // Open but for its serialization slot (a multi-cycle flit or an
       // outage): the slot ends with time alone, so no endpoint announces
@@ -153,7 +153,10 @@ void Router::stage_intake(Cycle now) {
     auto& vc = port.vcs.at(static_cast<std::size_t>(flit->vc));
     assert(!vc.buffer.full() && "credit protocol violated");
     vc.buffer.push(*flit);
-    if (vc.state == VcState::kActive) port.ready |= bit(flit->vc);
+    // A parked VC stays parked: its lane is still closed.
+    if (vc.state == VcState::kActive && (port.sa_parked & bit(flit->vc)) == 0) {
+      port.ready |= bit(flit->vc);
+    }
     if (vc.state == VcState::kIdle) port.detect |= bit(flit->vc);
     port.endpoint->pop(now);
     ++occupancy_;
@@ -163,9 +166,11 @@ void Router::stage_intake(Cycle now) {
 }
 
 void Router::stage_switch(Cycle now) {
+  unpark_reopened();
   // SA stage 1: each input nominates one ready VC whose output gate admits
   // its flit, from rr_vc up, then below it (the order of `ready` rotated
-  // right by rr_vc).
+  // right by rr_vc). A VC it finds on a closed lane parks; one waiting only
+  // for its serialization slot stays ready.
   sa_winners_.clear();
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
     auto& port = inputs_[i];
@@ -174,8 +179,11 @@ void Router::stage_switch(Cycle now) {
          m &= m - 1) {
       const int v = (std::countr_zero(m) + port.rr_vc) & (kMaxVcs - 1);
       const auto& vc = port.vcs[static_cast<std::size_t>(v)];
-      const auto& out = outputs_[static_cast<std::size_t>(vc.route.out_port)];
-      if (out.gate->admits(vc.out_vc, now)) {
+      const OutputGate& gate =
+          *outputs_[static_cast<std::size_t>(vc.route.out_port)].gate;
+      if (((gate.closed >> vc.out_vc) & 1) != 0) {
+        park_sa(static_cast<int>(i), v);
+      } else if (now >= gate.free_at) {
         sa_request_[i] = v;
         sa_winners_.push_back(static_cast<int>(i));
         break;
@@ -229,6 +237,7 @@ void Router::stage_switch(Cycle now) {
     if (flit.tail || vc.buffer.empty()) port.ready &= ~bit(v);
     if (flit.tail) {
       out.refused = 0;  // the endpoint may have freed a VC of any class
+      unpark_vca(static_cast<std::size_t>(o));
       vc.state = VcState::kIdle;
       vc.out_vc = kInvalidId;
       if (!vc.buffer.empty()) port.detect |= bit(v);
@@ -248,7 +257,8 @@ void Router::stage_vca(Cycle now) {
   // rotation provides fairness across ports. vca_rr_ moves a whole input
   // (num_vcs slots) a cycle, so the walk is input i0's VCs, then the next's.
   // A class an output refused is not asked again until a tail leaves there
-  // (OutputPort::refused): the endpoint would refuse it every time.
+  // (OutputPort::refused): the endpoint would refuse it every time. Such a
+  // requester parks, so the walk leaves `vca` empty.
   const int n_in = static_cast<int>(inputs_.size());
   const int i0 = vca_rr_ / params_.num_vcs;
   assert(vca_rr_ == i0 * params_.num_vcs);
@@ -260,10 +270,15 @@ void Router::stage_vca(Cycle now) {
       auto& out = outputs_[static_cast<std::size_t>(vc.route.out_port)];
       const int c = vc.route.vc_class;
       assert(c >= 0 && c < kMaxVcs && "VC class outside the refused mask");
-      if (out.endpoint == nullptr || (out.refused & bit(c)) != 0) continue;
+      assert(out.endpoint != nullptr && "RC parks heads for unwired outputs");
+      if ((out.refused & bit(c)) != 0) {
+        park_vca(i, v);
+        continue;
+      }
       const VcId granted = out.endpoint->alloc_vc(c, now);
       if (granted == kInvalidId) {
         out.refused |= bit(c);
+        park_vca(i, v);
         continue;
       }
       vc.out_vc = granted;
@@ -278,9 +293,13 @@ void Router::stage_vca(Cycle now) {
 }
 
 void Router::stage_rc() {
-  for (auto& port : inputs_) {
+  // A head routed to an unwired output or a refused class parks at once.
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    auto& port = inputs_[i];
+    port.vca |= port.routing;
     for (std::uint64_t m = port.routing; m != 0; m &= m - 1) {
-      auto& vc = port.vcs[static_cast<std::size_t>(std::countr_zero(m))];
+      const int v = std::countr_zero(m);
+      auto& vc = port.vcs[static_cast<std::size_t>(v)];
       assert(!vc.buffer.empty() && vc.buffer.front().head);
       Flit& head = vc.buffer.front();
       vc.route = oracle_->route(params_.id, head);
@@ -289,9 +308,82 @@ void Router::stage_rc() {
       head.vc_class = vc.route.vc_class;
       vc.state = VcState::kVca;
       ++counters_.route_computations;
+      const auto& out = outputs_[static_cast<std::size_t>(vc.route.out_port)];
+      if (out.endpoint == nullptr ||
+          (out.refused & bit(vc.route.vc_class)) != 0) {
+        park_vca(static_cast<int>(i), v);
+      }
     }
-    port.vca |= port.routing;
     port.routing = 0;
+  }
+}
+
+void Router::park_vca(int i, int v) {
+  auto& port = inputs_[static_cast<std::size_t>(i)];
+  auto& vc = port.vcs[static_cast<std::size_t>(v)];
+  auto& out = outputs_[static_cast<std::size_t>(vc.route.out_port)];
+  port.vca &= ~bit(v);
+  port.vca_parked |= bit(v);
+  vc.next_waiter = out.vca_waiters;
+  out.vca_waiters = waiter_id(i, v);
+}
+
+void Router::park_sa(int i, int v) {
+  auto& port = inputs_[static_cast<std::size_t>(i)];
+  auto& vc = port.vcs[static_cast<std::size_t>(v)];
+  const auto o = static_cast<std::size_t>(vc.route.out_port);
+  auto& out = outputs_[o];
+  port.ready &= ~bit(v);
+  port.sa_parked |= bit(v);
+  vc.next_waiter = out.sa_waiters;
+  out.sa_waiters = waiter_id(i, v);
+  out.sa_lanes |= bit(vc.out_vc);
+  sa_waited_[o / 64] |= bit(static_cast<int>(o % 64));
+}
+
+void Router::unpark_vca(std::size_t o) {
+  auto& out = outputs_[o];
+  for (int id = out.vca_waiters; id >= 0;) {
+    auto& port = inputs_[static_cast<std::size_t>(id / kMaxVcs)];
+    const int v = id % kMaxVcs;
+    auto& vc = port.vcs[static_cast<std::size_t>(v)];
+    id = vc.next_waiter;
+    vc.next_waiter = -1;
+    port.vca_parked &= ~bit(v);
+    port.vca |= bit(v);
+  }
+  out.vca_waiters = -1;
+}
+
+void Router::unpark_reopened() {
+  // Exact because a closed lane opens only in its endpoint's own eval, never
+  // inside this one (endpoints.hpp): a waiter is back before SA reads the
+  // gate it would admit through.
+  for (std::size_t w = 0; w < sa_waited_.size(); ++w) {
+    for (std::uint64_t m = sa_waited_[w]; m != 0; m &= m - 1) {
+      const int b = std::countr_zero(m);
+      const std::size_t o = w * 64 + static_cast<std::size_t>(b);
+      auto& out = outputs_[o];
+      const std::uint64_t closed = out.gate->closed;
+      if ((out.sa_lanes & ~closed) == 0) continue;
+      std::uint64_t lanes = 0;
+      for (int* link = &out.sa_waiters; *link >= 0;) {
+        auto& port = inputs_[static_cast<std::size_t>(*link / kMaxVcs)];
+        const int v = *link % kMaxVcs;
+        auto& vc = port.vcs[static_cast<std::size_t>(v)];
+        if (((closed >> vc.out_vc) & 1) != 0) {
+          lanes |= bit(vc.out_vc);
+          link = &vc.next_waiter;
+          continue;
+        }
+        *link = vc.next_waiter;
+        vc.next_waiter = -1;
+        port.sa_parked &= ~bit(v);
+        port.ready |= bit(v);
+      }
+      out.sa_lanes = lanes;
+      if (out.sa_waiters < 0) sa_waited_[w] &= ~bit(b);
+    }
   }
 }
 
@@ -319,6 +411,7 @@ void Router::dump_state(std::ostream& os) const {
 }
 
 bool Router::masks_match_states() const {
+  std::size_t parked = 0;
   for (const auto& port : inputs_) {
     std::uint64_t routing = 0, vca = 0, ready = 0;
     for (std::size_t v = 0; v < port.vcs.size(); ++v) {
@@ -328,11 +421,63 @@ bool Router::masks_match_states() const {
       if (vc.state == VcState::kRouting) routing |= b;
       if (vc.state == VcState::kVca) vca |= b;
       if (vc.state == VcState::kActive && !vc.buffer.empty()) ready |= b;
+      // plan_sleep's premise: an unparked VCA VC may be granted.
+      if ((port.vca & b) != 0) {
+        const auto& out =
+            outputs_[static_cast<std::size_t>(vc.route.out_port)];
+        if (out.endpoint == nullptr ||
+            (out.refused & bit(vc.route.vc_class)) != 0) {
+          return false;
+        }
+      }
     }
-    if (routing != port.routing || vca != port.vca) return false;
-    if (ready != port.ready || port.detect != 0) return false;
+    if (routing != port.routing || port.detect != 0) return false;
+    if ((port.vca & port.vca_parked) != 0 ||
+        (port.vca | port.vca_parked) != vca) {
+      return false;
+    }
+    if ((port.ready & port.sa_parked) != 0 ||
+        (port.ready | port.sa_parked) != ready) {
+      return false;
+    }
+    parked += static_cast<std::size_t>(std::popcount(port.vca_parked) +
+                                       std::popcount(port.sa_parked));
   }
-  return true;
+  // Every parked VC sits in its output's list of its kind exactly once, and
+  // still cannot act: its class is refused (or the output unwired), or its
+  // lane is closed.
+  std::vector<char> listed(inputs_.size() * kMaxVcs, 0);
+  std::size_t entries = 0;
+  for (std::size_t o = 0; o < outputs_.size(); ++o) {
+    const auto& out = outputs_[o];
+    for (const bool sa : {false, true}) {
+      for (int id = sa ? out.sa_waiters : out.vca_waiters; id >= 0;) {
+        if (++entries > parked || listed[static_cast<std::size_t>(id)] != 0) {
+          return false;
+        }
+        listed[static_cast<std::size_t>(id)] = 1;
+        const auto& port = inputs_[static_cast<std::size_t>(id / kMaxVcs)];
+        const int v = id % kMaxVcs;
+        const auto& vc = port.vcs[static_cast<std::size_t>(v)];
+        if (vc.route.out_port != static_cast<PortId>(o)) return false;
+        if (sa) {
+          if ((port.sa_parked & bit(v)) == 0 ||
+              (out.sa_lanes & bit(vc.out_vc)) == 0 ||
+              ((out.gate->closed >> vc.out_vc) & 1) == 0) {
+            return false;
+          }
+        } else if ((port.vca_parked & bit(v)) == 0 ||
+                   (out.endpoint != nullptr &&
+                    (out.refused & bit(vc.route.vc_class)) == 0)) {
+          return false;
+        }
+        id = vc.next_waiter;
+      }
+    }
+    const bool waited = ((sa_waited_[o / 64] >> (o % 64)) & 1) != 0;
+    if (waited != (out.sa_waiters >= 0)) return false;
+  }
+  return entries == parked;
 }
 
 }  // namespace ownsim

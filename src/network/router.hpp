@@ -9,6 +9,8 @@
 // control is credit-based wormhole; credits return through the upstream
 // endpoint as buffer slots free. Per-port bitmasks of VC states let each
 // stage walk only the VCs it can advance, in the order a full scan would.
+// A VC that provably cannot act is parked: it leaves the mask its stage
+// walks and waits in its output's waiter list until the output frees it.
 // Endpoints publish their state (endpoints.hpp): intake reads each input's
 // next arrival cycle and SA each output's acceptance gate, without a call.
 //
@@ -95,12 +97,12 @@ class Router final : public Clocked {
 
   /// True when the last eval of an event-driven engine left flits buffered
   /// and the next eval could change no state: no VC is routing, every VC
-  /// in VCA waits on a class its output refused, and every ready VC's
-  /// output gate is closed to it or frees only after the next cycle. It may
-  /// hold right after an eval that did progress. Such an eval would be a
-  /// pure function of endpoint state, so it repeats identically until a
-  /// wake. Always false under lockstep and for routers not registered with
-  /// an engine (manually driven unit tests).
+  /// in VCA waits on a class its output refused (it is parked), and every
+  /// ready VC's output gate is closed to it (parked) or frees only after
+  /// the next cycle. It may hold right after an eval that did progress.
+  /// Such an eval would be a pure function of endpoint state, so it repeats
+  /// identically until a wake. Always false under lockstep and for routers
+  /// not registered with an engine (manually driven unit tests).
   bool stalled() const { return stalled_; }
 
   RouterId id() const { return params_.id; }
@@ -128,6 +130,7 @@ class Router final : public Clocked {
     RingBuffer<Flit> buffer{1};
     RouteEntry route;
     VcId out_vc = kInvalidId;
+    int next_waiter = -1;  ///< next parked VC on route.out_port (waiter id)
   };
 
   struct InputPort {
@@ -135,10 +138,12 @@ class Router final : public Clocked {
     std::vector<InputVc> vcs;
     int rr_vc = 0;  ///< SA stage-1 round-robin pointer
     // Bit v describes vcs[v]; masks_match_states() is the definition.
-    std::uint64_t routing = 0;  ///< kRouting
-    std::uint64_t vca = 0;      ///< kVca
-    std::uint64_t ready = 0;    ///< kActive with a buffered flit
-    std::uint64_t detect = 0;   ///< kIdle that gained a head this eval
+    std::uint64_t routing = 0;     ///< kRouting
+    std::uint64_t vca = 0;         ///< kVca, may be granted
+    std::uint64_t vca_parked = 0;  ///< kVca, class refused or output unwired
+    std::uint64_t ready = 0;       ///< kActive with a buffered flit
+    std::uint64_t sa_parked = 0;   ///< kActive with a flit, lane closed
+    std::uint64_t detect = 0;      ///< kIdle that gained a head this eval
   };
 
   struct OutputPort {
@@ -150,9 +155,26 @@ class Router final : public Clocked {
     /// the call.
     std::uint64_t refused = 0;
     Cycle slot_wake = -1;  ///< the gate's free_at last posted as a wake
+    // Parked VCs routed here, as intrusive lists through
+    // InputVc::next_waiter (-1 ends a list). VCA waiters return when a tail
+    // leaves here, SA waiters when a lane of sa_lanes reopens.
+    int vca_waiters = -1;
+    int sa_waiters = -1;
+    std::uint64_t sa_lanes = 0;  ///< bit d: an SA waiter waits on lane d
   };
 
   static constexpr std::uint64_t bit(int v) { return std::uint64_t{1} << v; }
+  /// Waiter id of VC v at input i: the index a waiter list links by.
+  static constexpr int waiter_id(int i, int v) { return i * kMaxVcs + v; }
+  /// Moves VC v of input i from `vca` (or from RC) to `vca_parked`.
+  void park_vca(int i, int v);
+  /// Moves VC v of input i, whose output lane is closed, from `ready` to
+  /// `sa_parked`.
+  void park_sa(int i, int v);
+  /// Returns every VCA waiter of output `o` to `vca` (a tail left there).
+  void unpark_vca(std::size_t o);
+  /// Returns to `ready` each SA waiter whose lane reopened since it parked.
+  void unpark_reopened();
   void stage_intake(Cycle now);
   void stage_switch(Cycle now);  // SA + ST + LT launch
   void stage_vca(Cycle now);
@@ -167,6 +189,8 @@ class Router final : public Clocked {
   const RoutingOracle* oracle_;
   std::vector<InputPort> inputs_;
   std::vector<OutputPort> outputs_;
+  /// Bit o % 64 of word o / 64: output o has SA waiters.
+  std::vector<std::uint64_t> sa_waited_;
   int vca_rr_ = 0;  ///< round-robin start for VCA request order
   int occupancy_ = 0;
   bool stalled_ = false;  ///< see stalled()

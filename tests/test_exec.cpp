@@ -378,5 +378,39 @@ TEST(SweepDeterminism, ProgressCallbackSeesEveryPoint) {
             snapshots.back().cycles_simulated);
 }
 
+TEST(SweepDeterminism, OneThreadRunsCostliestFirstUnlessTheTailMayStop) {
+  // On one thread points finish in the order they start. A sweep that runs
+  // every point starts the highest rate first and the zero-load probe
+  // (rate -1 in progress) last; one that may stop at the knee starts with
+  // the probe and climbs.
+  const NetworkFactory factory = [] {
+    return std::make_unique<Network>(testing::ring_spec(6));
+  };
+  SweepOptions options;
+  options.rates = {0.01, 0.02, 0.03};
+  options.zero_load_rate = 0.005;  // enough packets for a zero-load latency
+  options.phases.warmup = 200;
+  options.phases.measure = 500;
+  options.phases.drain_limit = 5000;
+  options.threads = 1;
+  std::vector<double> seen;
+  options.progress = [&](const SweepProgress& progress) {
+    seen.push_back(progress.rate);
+  };
+
+  options.stop_after_saturation = false;
+  const SweepResult all = latency_sweep(factory, options);
+  EXPECT_EQ(seen, (std::vector<double>{0.03, 0.02, 0.01, -1.0}));
+
+  seen.clear();
+  options.stop_after_saturation = true;
+  const SweepResult stopping = latency_sweep(factory, options);
+  EXPECT_EQ(seen, (std::vector<double>{-1.0, 0.01, 0.02, 0.03}));
+
+  // Nothing saturates, so both orders assemble the same sweep.
+  EXPECT_EQ(stopping.points.size(), options.rates.size());
+  expect_identical(all, stopping);
+}
+
 }  // namespace
 }  // namespace ownsim

@@ -145,6 +145,8 @@ struct CountingOutput final : OutputEndpoint {
   }
   /// Publishes lane `lane` as refusing every flit.
   void close(VcId lane) { gate_.closed |= std::uint64_t{1} << lane; }
+  /// Publishes lane `lane` as admitting flits again.
+  void open(VcId lane) { gate_.closed &= ~(std::uint64_t{1} << lane); }
 };
 
 /// Input endpoint replaying (arrival cycle, flit) pairs in order; it
@@ -232,6 +234,76 @@ TEST(RouterEdge, VcaSkipsARefusedClassUntilATailLeaves) {
 
   router.eval(11);
   EXPECT_EQ(out.accepted, (std::vector<PacketId>{1, 1, 2}));
+}
+
+TEST(RouterEdge, VcaParkedVcsAreAskedInTheEvalATailLeaves) {
+  // Packet 1 (class 0) holds the one class-0 lane from cycle 2 until its
+  // tail leaves at cycle 10. Packet 2 is refused at cycle 3 and parks.
+  // Packet 3, routed at cycle 6 after the refusal, parks without being
+  // asked. The tail's eval returns both: packet 2 takes the lane, packet 3
+  // is refused again, and packet 2's tail returns packet 3 at cycle 11.
+  std::vector<VcClassRange> classes = {{0, 2}, {2, 2}};
+  ClassOracle oracle;
+  Router router(one_by_one(), &classes, &oracle);
+  const auto flit = script_flit;
+  ScriptedInput in({{0, flit(1, 0, 0, true, false)},
+                    {1, flit(2, 1, 0, true, true)},
+                    {5, flit(3, 2, 0, true, true)},
+                    {10, flit(1, 0, 0, false, true)}});
+  CountingOutput out;
+  out.free_lanes = {1, 1};
+  out.calls = {0, 0};
+  router.connect_input(0, &in);
+  router.connect_output(0, &out);
+
+  for (Cycle now = 0; now < 10; ++now) router.eval(now);
+  EXPECT_EQ(out.calls[0], 2);  // packet 1's grant, packet 2's refusal
+
+  router.eval(10);
+  EXPECT_EQ(out.accepted, (std::vector<PacketId>{1, 1}));
+  EXPECT_EQ(out.calls[0], 4);  // both asked in the tail's eval
+  EXPECT_EQ(router.counters().vc_allocations, 2);
+
+  router.eval(11);  // packet 2's tail leaves; packet 3 is asked and granted
+  EXPECT_EQ(out.accepted, (std::vector<PacketId>{1, 1, 2}));
+  EXPECT_EQ(out.calls[0], 5);
+  EXPECT_EQ(router.counters().vc_allocations, 3);
+
+  router.eval(12);
+  EXPECT_EQ(out.accepted, (std::vector<PacketId>{1, 1, 2, 3}));
+  EXPECT_EQ(router.occupancy(), 0);
+}
+
+TEST(RouterEdge, VcParkedOnAClosedLaneIsNominatedOnceTheLaneReopens) {
+  // Packet 1 (2 flits, class 0) gets lane 0 at cycle 2, but lane 0 is
+  // closed, so SA parks it at cycle 3; its tail arrives into the parked VC
+  // at cycle 5. Lane 1 stays open for packet 2 (class 1), which launches
+  // past the parked VC at cycle 4. The eval right after the lane reopens
+  // nominates packet 1's head, and the next its tail.
+  std::vector<VcClassRange> classes = {{0, 2}, {2, 2}};
+  ClassOracle oracle;
+  Router router(one_by_one(), &classes, &oracle);
+  const auto flit = script_flit;
+  ScriptedInput in({{0, flit(1, 0, 0, true, false)},
+                    {1, flit(2, 1, 1, true, true)},
+                    {5, flit(1, 0, 0, false, true)}});
+  CountingOutput out;
+  out.free_lanes = {1, 1};
+  out.calls = {0, 0};
+  out.close(0);
+  router.connect_input(0, &in);
+  router.connect_output(0, &out);
+
+  for (Cycle now = 0; now < 12; ++now) router.eval(now);
+  EXPECT_EQ(out.accepted, std::vector<PacketId>{2});
+  EXPECT_EQ(router.occupancy(), 2);
+
+  out.open(0);
+  router.eval(12);
+  EXPECT_EQ(out.accepted, (std::vector<PacketId>{2, 1}));
+  router.eval(13);
+  EXPECT_EQ(out.accepted, (std::vector<PacketId>{2, 1, 1}));
+  EXPECT_EQ(router.occupancy(), 0);
 }
 
 // ---------------------------------------------------------------------------
