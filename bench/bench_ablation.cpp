@@ -12,16 +12,11 @@
 
 #include "bench_common.hpp"
 #include "exec/parallel_for.hpp"
-#include "exec/thread_pool.hpp"
 #include "metrics/table_io.hpp"
 #include "photonic/ring_budget.hpp"
 
 int main() {
   using namespace ownsim;
-  // The simulation-backed ablation grids below are independent experiments;
-  // they fan out over this pool (OWNSIM_THREADS overrides the size).
-  exec::ThreadPool pool;
-
   bench::print_header("ablation 1: ring thermal tuning power", "DESIGN.md");
   {
     // The paper's Fig 6 does not charge thermal tuning (OptXB stays
@@ -77,9 +72,11 @@ int main() {
     const std::vector<TopologyKind> kinds = {TopologyKind::kOptXB,
                                              TopologyKind::kOwn};
     const std::vector<double> rates = {0.001, 0.006};
-    // Grid index = (kind, ideal, rate); all 8 cells run concurrently.
+    // Grid index = (kind, ideal, rate); the cells are independent
+    // experiments (OWNSIM_THREADS overrides the thread count).
     const std::vector<double> latencies = exec::parallel_map(
-        pool, kinds.size() * 2 * rates.size(), [&](std::size_t i) {
+        exec::default_threads(), kinds.size() * 2 * rates.size(),
+        [&](std::size_t i) {
           ExperimentConfig experiment =
               bench::base_experiment(kinds[i / (2 * rates.size())], 256);
           experiment.options.ideal_arbitration = (i / rates.size()) % 2 == 1;
@@ -109,9 +106,9 @@ int main() {
     Table table({"routing", "MT throughput", "UN throughput"});
     const std::vector<PatternKind> patterns = {PatternKind::kTranspose,
                                                PatternKind::kUniform};
-    // Grid index = (o1turn, pattern); all 4 cells run concurrently.
+    // Grid index = (o1turn, pattern).
     const std::vector<double> cells = exec::parallel_map(
-        pool, 2 * patterns.size(), [&](std::size_t i) {
+        exec::default_threads(), 2 * patterns.size(), [&](std::size_t i) {
           ExperimentConfig experiment =
               bench::base_experiment(TopologyKind::kCMesh, 256);
           experiment.options.cmesh_o1turn = i / patterns.size() == 1;

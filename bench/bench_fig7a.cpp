@@ -5,15 +5,15 @@
 // photonic networks marginally better than OWN on some patterns.
 //
 // The (topology x pattern) grid is embarrassingly parallel: each cell is an
-// independent experiment, mapped across the worker pool in index order so
-// the printed table is identical regardless of thread count.
+// independent experiment, mapped with `exec::parallel_map` in index order
+// so the printed table is identical regardless of thread count
+// (`OWNSIM_THREADS` overrides it).
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "exec/parallel_for.hpp"
-#include "exec/thread_pool.hpp"
 #include "metrics/table_io.hpp"
 
 int main() {
@@ -28,9 +28,9 @@ int main() {
   for (PatternKind p : patterns) header.emplace_back(to_string(p));
   Table table(std::move(header));
 
-  exec::ThreadPool pool;
   const std::vector<double> cells = exec::parallel_map(
-      pool, topologies.size() * patterns.size(), [&](std::size_t i) {
+      exec::default_threads(), topologies.size() * patterns.size(),
+      [&](std::size_t i) {
         ExperimentConfig experiment =
             bench::base_experiment(topologies[i / patterns.size()], 256);
         experiment.pattern = patterns[i % patterns.size()];

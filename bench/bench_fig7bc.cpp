@@ -4,8 +4,8 @@
 // earlier; CMESH, wireless-CMESH and OptXB ~20 % earlier; OWN's zero-load
 // latency is the lowest (3-hop worst case).
 //
-// Each topology's sweep fans its load points across the worker pool
-// (`OWNSIM_THREADS` overrides the count). A final section measures the
+// Each topology's sweep runs its load points on `exec::parallel_for`
+// (`OWNSIM_THREADS` overrides the thread count). A final section measures the
 // parallel speedup of one OWN-256 sweep — 1 thread vs 4 — and checks the
 // results stayed bit-identical.
 #include <iostream>
@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "exec/thread_pool.hpp"
+#include "exec/parallel_for.hpp"
 #include "metrics/report.hpp"
 #include "metrics/table_io.hpp"
 

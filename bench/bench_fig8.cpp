@@ -7,20 +7,18 @@
 // most expensive.
 //
 // Every cell of both sections is an independent 1024-core experiment;
-// they are mapped across the worker pool in index order, so the output is
-// identical for any `OWNSIM_THREADS`.
+// they are mapped with `exec::parallel_map` in index order, so the output
+// is identical for any `OWNSIM_THREADS`.
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "exec/parallel_for.hpp"
-#include "exec/thread_pool.hpp"
 #include "metrics/table_io.hpp"
 
 int main() {
   using namespace ownsim;
-  exec::ThreadPool pool;
   const std::vector<TopologyKind> topologies = paper_topologies();
 
   bench::print_header("1024-core saturation throughput (flits/node/cycle)",
@@ -32,7 +30,8 @@ int main() {
   Table throughput(std::move(header));
 
   const std::vector<double> cells = exec::parallel_map(
-      pool, topologies.size() * patterns.size(), [&](std::size_t i) {
+      exec::default_threads(), topologies.size() * patterns.size(),
+      [&](std::size_t i) {
         ExperimentConfig experiment =
             bench::base_experiment(topologies[i / patterns.size()], 1024);
         experiment.pattern = patterns[i % patterns.size()];
@@ -55,7 +54,7 @@ int main() {
   Table power({"network", "total_W", "router_W", "photonic_W", "wireless_W",
                "electrical_W", "pJ/packet"});
   const std::vector<ExperimentResult> results = exec::parallel_map(
-      pool, topologies.size(), [&](std::size_t t) {
+      exec::default_threads(), topologies.size(), [&](std::size_t t) {
         return run_experiment(bench::base_experiment(topologies[t], 1024));
       });
   for (std::size_t t = 0; t < topologies.size(); ++t) {

@@ -7,17 +7,16 @@
 // the channel-to-band assignment, prints per-distance-class energy figures,
 // and simulates OWN-256 to report the resulting wireless and total power —
 // then names the winner. The eight simulation points are independent, so
-// they run as one `exec::JobGraph` batch fanned across the worker pool
-// (`OWNSIM_THREADS` overrides the worker count).
-#include <algorithm>
+// they are mapped with `exec::parallel_map` (`OWNSIM_THREADS` overrides the
+// thread count).
 #include <iostream>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "driver/simulate.hpp"
-#include "exec/job_graph.hpp"
-#include "exec/thread_pool.hpp"
+#include "exec/parallel_for.hpp"
+#include "metrics/bench_json.hpp"
 #include "metrics/table_io.hpp"
 
 int main() {
@@ -28,66 +27,50 @@ int main() {
   struct DesignPoint {
     Scenario scenario;
     OwnConfig config;
-    double mean_epb = 0.0;
-    ExperimentResult result;
   };
   std::vector<DesignPoint> points;
   for (Scenario scenario : {Scenario::kIdeal, Scenario::kConservative}) {
-    for (OwnConfig config : all_configs()) {
-      points.push_back({scenario, config, 0.0, {}});
-    }
+    for (OwnConfig config : all_configs()) points.push_back({scenario, config});
   }
 
-  exec::ThreadPool pool;
-  exec::JobGraph batch;
-  for (DesignPoint& point : points) {
-    batch.add(std::string(to_string(point.config)) + "/" +
-                  to_string(point.scenario),
-              [&point] {
-                const ChannelEnergyModel model(point.config, point.scenario);
-                double mean_epb = 0.0;
-                for (const auto& a : model.assignments()) {
-                  mean_epb += model.epb(a.channel_id).in(1.0_pj_per_bit);
-                }
-                point.mean_epb =
-                    mean_epb / static_cast<double>(model.assignments().size());
-
-                ExperimentConfig experiment;
-                experiment.topology = TopologyKind::kOwn;
-                experiment.options.num_cores = 256;
-                experiment.rate = 0.005;
-                experiment.own_config = point.config;
-                experiment.scenario = point.scenario;
-                experiment.phases.warmup = 1500;
-                experiment.phases.measure = 4000;
-                point.result = run_experiment(experiment);
-              });
-  }
-  const std::vector<exec::JobReport> reports = batch.run(pool);
-  double batch_wall = 0.0;
-  for (const exec::JobReport& report : reports) {
-    if (report.failed) {
-      std::cerr << "design point " << report.name << " failed: "
-                << report.error << '\n';
-      return 1;
-    }
-    batch_wall = std::max(batch_wall, report.wall_seconds);
-  }
+  const unsigned threads = exec::default_threads();
+  const WallTimer timer;
+  const std::vector<ExperimentResult> results = exec::parallel_map(
+      threads, points.size(), [&points](std::size_t i) {
+        ExperimentConfig experiment;
+        experiment.topology = TopologyKind::kOwn;
+        experiment.options.num_cores = 256;
+        experiment.rate = 0.005;
+        experiment.own_config = points[i].config;
+        experiment.scenario = points[i].scenario;
+        experiment.phases.warmup = 1500;
+        experiment.phases.measure = 4000;
+        return run_experiment(experiment);
+      });
+  const double batch_wall = timer.seconds();
 
   Table table({"scenario", "config", "C2C tech", "E2E tech", "SR tech",
                "mean pJ/bit", "wireless_mW", "total_W"});
   std::string best_name;
   double best_total = std::numeric_limits<double>::max();
-  for (const DesignPoint& point : points) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const DesignPoint& point = points[i];
+    const PowerBreakdown& power = results[i].power;
+    const ChannelEnergyModel model(point.config, point.scenario);
+    double mean_epb = 0.0;
+    for (const auto& a : model.assignments()) {
+      mean_epb += model.epb(a.channel_id).in(1.0_pj_per_bit);
+    }
+    mean_epb /= static_cast<double>(model.assignments().size());
     table.add_row({to_string(point.scenario), to_string(point.config),
                    to_string(config_tech(point.config, DistanceClass::kC2C)),
                    to_string(config_tech(point.config, DistanceClass::kE2E)),
                    to_string(config_tech(point.config, DistanceClass::kSR)),
-                   Table::num(point.mean_epb, 3),
-                   Table::num(point.result.power.wireless_link_w * 1e3, 2),
-                   Table::num(point.result.power.total_w(), 3)});
-    if (point.result.power.total_w() < best_total) {
-      best_total = point.result.power.total_w();
+                   Table::num(mean_epb, 3),
+                   Table::num(power.wireless_link_w * 1e3, 2),
+                   Table::num(power.total_w(), 3)});
+    if (power.total_w() < best_total) {
+      best_total = power.total_w();
       best_name = std::string(to_string(point.config)) + " / " +
                   to_string(point.scenario);
     }
@@ -98,8 +81,7 @@ int main() {
             << " W total). The paper reaches the same conclusion: CMOS on the\n"
                "long/medium links with BiCMOS short-range (config 4), enabled\n"
                "by SDM frequency reuse (Section V.B).\n"
-            << reports.size() << " design points on " << pool.size()
-            << " threads; slowest point " << Table::num(batch_wall, 2)
-            << " s.\n";
+            << points.size() << " design points on " << threads
+            << " threads in " << Table::num(batch_wall, 2) << " s.\n";
   return 0;
 }

@@ -5,7 +5,7 @@
 //
 // Sweeps offered load until saturation and prints the latency curve, the
 // zero-load latency and the saturation point. Load points are independent
-// simulations and fan out across `threads` workers; results are
+// simulations and run on `threads` threads; results are
 // bit-identical for any thread count (per-point RNG streams derive from the
 // sweep master seed).
 #include <cstdlib>
@@ -13,7 +13,7 @@
 #include <string>
 
 #include "driver/simulate.hpp"
-#include "exec/thread_pool.hpp"
+#include "exec/parallel_for.hpp"
 #include "metrics/report.hpp"
 #include "metrics/table_io.hpp"
 

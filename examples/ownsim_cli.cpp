@@ -9,24 +9,26 @@
 // and `report=json` replaces the summary with one JSON document (config,
 // result and network utilization; see experiment_report_json).
 // `sweep=r1:r2:...` switches to a latency sweep over those offered loads,
-// fanned across `threads` workers (also accepted as `--threads N`).
+// run on `threads` threads (also accepted as `--threads N`; sweep mode only).
 // Run with `help=1` for the key list.
 //
 // The CLI is a thin client of the shared config -> run -> report path
 // (driver/experiment_config.hpp + run_experiment): the same key=value
 // vocabulary in a config file (`file=`) means the same experiment here.
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
 #include "driver/experiment_config.hpp"
 #include "driver/simulate.hpp"
-#include "exec/thread_pool.hpp"
+#include "exec/parallel_for.hpp"
 #include "fault/campaign.hpp"
 #include "metrics/report.hpp"
 #include "metrics/table_io.hpp"
@@ -56,8 +58,8 @@ void print_help() {
       "  sweep      colon-separated rates (e.g. 0.002:0.004): run a\n"
       "             latency sweep instead of a single point\n"
       "             (seed becomes the sweep master seed)\n"
-      "  threads    workers for the sweep (--threads N also accepted)\n"
-      "             [hardware concurrency]\n"
+      "  threads    threads that run the sweep's points; sweep mode\n"
+      "             only (--threads N also accepted)  [hardware concurrency]\n"
       "  progress   1: print per-point progress lines to stderr  [0]\n"
       "  trace_out  write a Chrome trace_event JSON of the run to this\n"
       "             path (single-point mode; load in ui.perfetto.dev;\n"
@@ -244,9 +246,9 @@ int main(int argc, char** argv) {
   try {
     const ExperimentConfig config = parse_experiment_config(
         args, {"help", "file", "sweep", "progress", "trace_out", "counters",
-               "report", "profile"});
+               "report", "profile", "threads"});
 
-    // Sweep mode: fan one fresh network per load point across the pool.
+    // Sweep mode: one fresh network per load point, on `threads` threads.
     if (args.contains("sweep")) {
       if (config.fault.enabled) {
         throw std::invalid_argument(
@@ -263,9 +265,10 @@ int main(int argc, char** argv) {
       sweep_options.phases = config.phases;
       sweep_options.injector = config.injector;
       sweep_options.master_seed = config.injector.master_seed;
-      sweep_options.threads = config.threads > 0
-                                  ? static_cast<unsigned>(config.threads)
-                                  : exec::default_threads();
+      const std::int64_t threads = args.get_int("threads", 0);
+      if (threads < 0) throw std::invalid_argument("threads: want >= 0");
+      sweep_options.threads = threads > 0 ? static_cast<unsigned>(threads)
+                                          : exec::default_threads();
       sweep_options.stop_after_saturation = false;
       if (args.get_bool("progress", false)) {
         sweep_options.progress = [](const SweepProgress& p) {
@@ -290,6 +293,12 @@ int main(int argc, char** argv) {
                 << " flits/node/cycle\nexecution         : "
                 << sweep_telemetry_summary(sweep.telemetry) << '\n';
       return 0;
+    }
+
+    if (args.contains("threads")) {
+      throw std::invalid_argument(
+          "threads: a single-point run uses one thread; threads= needs "
+          "sweep=");
     }
 
     // Single-point mode rides the shared run_experiment path; everything the

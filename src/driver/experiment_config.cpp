@@ -111,7 +111,7 @@ void read_kv(const Config& args, const std::string& key, T& value) {
 // Each line declares one field: its canonical JSON key, its key=value name,
 // and the member it reads and writes. `nullptr` means "none" on that side:
 // no key=value name for programmatic-only fields, no JSON key for the
-// result-neutral kernel knobs (DESIGN.md §5e). Being its own type
+// result-neutral kernel knob (DESIGN.md §5e). Being its own type
 // (std::nullptr_t), it keeps that side's codec from being instantiated.
 
 template <typename E, typename Field>
@@ -159,7 +159,6 @@ void visit_fields(C& c, Field&& field) {
   field("injector.master_seed", "seed", c.injector.master_seed);
 
   field(nullptr, "kernel", c.kernel);
-  field(nullptr, "threads", c.threads);
 
   auto& p = c.power;
   field("power.buffer_write_pj_per_bit", nullptr, p.buffer_write_pj_per_bit);
@@ -343,7 +342,6 @@ ExperimentConfig parse_experiment_config(
     config.injector.flit_bits =
         static_cast<std::uint32_t>(config.options.flit_bits);
   }
-  if (config.threads < 0) throw std::invalid_argument("threads: want >= 0");
   if (config.phases.measure <= 0) {
     throw std::invalid_argument("measure: want > 0");
   }

@@ -14,11 +14,9 @@
 //     Every report=json document carries it (`experiment_report_json`), so
 //     a report names the experiment that produced it. Deliberately
 //     EXCLUDED from the canonical form:
-//       - `kernel` and `threads`: activity and lockstep are bit-identical
-//         by contract (DESIGN.md §5e, enforced by bench_kernel and the
-//         CI perf-smoke `cmp` legs), and the sweep's thread count never
-//         changes a point, so every kernel and thread count yields the
-//         same JSON;
+//       - `kernel`: activity and lockstep are bit-identical by contract
+//         (DESIGN.md §5e, enforced by bench_kernel and the CI perf-smoke
+//         `cmp` legs), so every kernel yields the same JSON;
 //       - `injector.rate`: always overridden by the top-level `rate`;
 //       - `fault.diagnostics`: an output stream, not configuration.
 #pragma once

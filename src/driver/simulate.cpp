@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "adapt/controller.hpp"
-#include "exec/thread_pool.hpp"
 #include "metrics/report.hpp"
 #include "serve/json.hpp"
 #include "topofile/topofile.hpp"

@@ -42,11 +42,6 @@ struct ExperimentConfig {
   /// timing.
   KernelMode kernel = KernelMode::kActivity;
 
-  /// Sweep worker threads (ownsim_cli's sweep mode); 0 =
-  /// exec::default_threads() (which honors OWNSIM_THREADS). Excluded from
-  /// the canonical config JSON: thread count never changes a result.
-  int threads = 0;
-
   /// Runtime fault campaign (fault/campaign.hpp). When enabled on OWN-256
   /// the topology is built campaign-capable: the healthy floorplan with the
   /// 5-class degraded route scheme, so mid-run deaths can reroute online.

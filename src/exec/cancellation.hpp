@@ -37,9 +37,6 @@ class CancellationSource {
 
   /// Idempotent; safe from any thread.
   void request_cancel() { flag_->store(true, std::memory_order_release); }
-  bool cancel_requested() const {
-    return flag_->load(std::memory_order_acquire);
-  }
 
   CancellationToken token() const { return CancellationToken(flag_); }
 

@@ -2,7 +2,7 @@
 
 #include <chrono>
 #include <cstddef>
-#include <future>
+#include <exception>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -10,7 +10,7 @@
 #include "common/rng.hpp"
 #include "common/thread_annotations.hpp"
 #include "exec/cancellation.hpp"
-#include "exec/thread_pool.hpp"
+#include "exec/parallel_for.hpp"
 
 namespace ownsim {
 namespace {
@@ -27,15 +27,15 @@ RunResult run_fresh(const NetworkFactory& factory, PatternKind pattern,
   return run_load_point(*network, injector, phases, token);
 }
 
-/// Controller state shared by the sweep's worker tasks. Index 0 is the
-/// zero-load probe; index i >= 1 is rates[i-1]. `cancels` is not guarded:
-/// the vector is sized before any task starts and CancellationSource is
-/// internally atomic, so request_cancel/token race benignly by design.
+/// Controller state shared by the threads that run the sweep's points.
+/// Index 0 is the zero-load probe; index i >= 1 is rates[i-1]. `tail` is
+/// not guarded: CancellationSource is internally atomic, so
+/// request_cancel/token race benignly by design.
 struct SweepState {
   Mutex mu;
   std::vector<std::optional<RunResult>> results OWNSIM_GUARDED_BY(mu);
   std::vector<char> settled OWNSIM_GUARDED_BY(mu);
-  std::vector<exec::CancellationSource> cancels;
+  exec::CancellationSource tail;  ///< cancels every point past the knee
   bool cancel_issued OWNSIM_GUARDED_BY(mu) = false;
   int completed OWNSIM_GUARDED_BY(mu) = 0;
   int cancelled OWNSIM_GUARDED_BY(mu) = 0;
@@ -50,9 +50,10 @@ bool is_saturated(const RunResult& r, double zero_load_latency,
 
 /// With `stop_after_saturation`, once the settled results form a contiguous
 /// prefix whose first saturated point is known, every later point is
-/// speculative and gets cancelled. Points at or before the knee are never
-/// cancelled, so the assembled result matches the serial stop-at-saturation
-/// sweep exactly.
+/// speculative and gets cancelled. The knee is named only after every point
+/// up to it has settled, so one source covers exactly the points still
+/// running or not yet started, all past the knee, and the assembled result
+/// matches the serial stop-at-saturation sweep exactly.
 void maybe_cancel_tail(SweepState& state, const SweepOptions& options)
     OWNSIM_REQUIRES(state.mu) {
   if (!options.stop_after_saturation || state.cancel_issued) return;
@@ -61,9 +62,7 @@ void maybe_cancel_tail(SweepState& state, const SweepOptions& options)
   for (std::size_t i = 1; i < state.results.size(); ++i) {
     if (!state.settled[i] || !state.results[i]) return;
     if (is_saturated(*state.results[i], zero, options.saturation_factor)) {
-      for (std::size_t j = i + 1; j < state.cancels.size(); ++j) {
-        state.cancels[j].request_cancel();
-      }
+      state.tail.request_cancel();
       state.cancel_issued = true;
       return;
     }
@@ -83,28 +82,25 @@ SweepResult latency_sweep(const NetworkFactory& factory,
   SweepState state;
   state.results.resize(num_tasks);
   state.settled.assign(num_tasks, 0);
-  state.cancels.resize(num_tasks);
+  std::vector<std::exception_ptr> errors(num_tasks);
 
   const unsigned threads =
       std::min<unsigned>(std::max(1u, options.threads),
                          static_cast<unsigned>(num_tasks));
-  exec::ThreadPool pool(threads);
 
-  // Every load point is one pool task over its own fresh network; task i
-  // derives injector stream i from the sweep's master seed, so the per-point
-  // simulation is a pure function of (factory, options, i) — identical for
-  // any thread count, any submission order and any completion order.
-  // A sweep that runs every point submits the highest rate first and the
+  // Every load point runs on its own fresh network; point i derives injector
+  // stream i from the sweep's master seed, so the per-point simulation is a
+  // pure function of (factory, options, i) — identical for any thread
+  // count, any start order and any completion order.
+  // A sweep that runs every point starts the highest rate first and the
   // probe last: a point costs more the higher its load, and starting the
   // longest first keeps one late saturated point from ending the sweep
   // alone. One that may cancel its tail keeps rates ascending, so the knee
   // settles before the speculative points past it start.
-  std::vector<std::future<void>> tasks(num_tasks);
-  for (std::size_t k = 0; k < num_tasks; ++k) {
+  exec::parallel_for(threads, num_tasks, [&](std::size_t k) {
     const std::size_t i = options.stop_after_saturation ? k : num_tasks - 1 - k;
-    tasks[i] = pool.submit([&, i] {
-      const exec::CancellationToken token =
-          i == 0 ? exec::CancellationToken{} : state.cancels[i].token();
+    try {
+      const exec::CancellationToken token = state.tail.token();
       std::optional<RunResult> result;
       if (!token.cancelled()) {
         Injector::Params params = options.injector;
@@ -138,15 +134,19 @@ SweepResult latency_sweep(const NetworkFactory& factory,
         ++state.cancelled;
       }
       maybe_cancel_tail(state, options);
-    });
+    } catch (...) {
+      errors[i] = std::current_exception();  // the other points run on
+    }
+  });
+  // Rethrows the lowest-indexed point's exception (factory failures etc.),
+  // after every point settled.
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
-  // Rethrows the first task exception (factory failures etc.) in point
-  // order, after every task settled.
-  for (std::future<void>& task : tasks) task.get();
 
   // Serial assembly, identical to the historical one-point-at-a-time loop:
   // visit rates ascending, stop at the first saturated point when asked.
-  // Speculative results past the knee are discarded here. Every task has
+  // Speculative results past the knee are discarded here. Every point has
   // settled, so the lock is uncontended — it is taken so the guarded reads
   // below stay inside a scope the thread-safety analysis can verify.
   MutexLock lock(state.mu);

@@ -5,8 +5,8 @@
 // saturation load: the first offered rate whose average latency exceeds
 // `saturation_factor` x zero-load latency (or that fails to drain).
 //
-// Load points are independent simulations, so the sweep fans them out over
-// an `exec::ThreadPool` (`SweepOptions::threads`). Determinism contract:
+// Load points are independent simulations, so the sweep runs them on
+// `exec::parallel_for` (`SweepOptions::threads`). Determinism contract:
 // every point derives its injector seed from `master_seed` + its point
 // index (SplitMix64 stream scheme), so the `SweepResult` is bit-identical
 // for any thread count, including 1, and any order the points run in.
@@ -31,7 +31,7 @@
 namespace ownsim {
 
 /// Builds a fresh network instance for one load point. Must be callable
-/// concurrently from several worker threads (factories built from
+/// concurrently from several threads (factories built from
 /// `build_topology` are: they share nothing mutable).
 using NetworkFactory = std::function<std::unique_ptr<Network>()>;
 
@@ -82,10 +82,10 @@ struct SweepOptions {
   /// `derive_seed(master_seed, i + 1)` (the probe uses stream 0), so no two
   /// points correlate and the result is independent of `threads`.
   std::uint64_t master_seed = 1;
-  /// Worker threads to fan load points across (clamped to >= 1).
+  /// Threads that run load points, the caller included (clamped to >= 1).
   unsigned threads = 1;
   /// Optional per-point progress callback. Invoked serialized, but possibly
-  /// from worker threads; must not touch the sweep's inputs.
+  /// from helper threads; must not touch the sweep's inputs.
   std::function<void(const SweepProgress&)> progress;
 };
 

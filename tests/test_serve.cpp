@@ -136,7 +136,7 @@ TEST(ParseExperimentConfig, ValidatesInput) {
                      "scenario: bad value 'bogus' (want ideal|conservative)"},
            std::pair{"kernel=bogus",
                      "kernel: bad value 'bogus' (want activity|lockstep)"},
-           std::pair{"kernel=parallel threads=4",
+           std::pair{"kernel=parallel",
                      "kernel: bad value 'parallel' (want activity|lockstep)"},
            std::pair{"partitions=2", "unknown config key: partitions"},
        }) {
@@ -214,8 +214,7 @@ TEST(ParseExperimentConfig, AcceptsBenchmarkAndServeVocabulary) {
   for (const char* text : {
            // benchmark/harness.cpp workloads and their kernel A/B reruns.
            "topology=own cores=1024 config=4 scenario=ideal pattern=UN "
-           "rate=0.004 seed=1 warmup=1500 measure=4000 drain=30000 "
-           "threads=4",
+           "rate=0.004 seed=1 warmup=1500 measure=4000 drain=30000",
            "topology=own cores=256 pattern=UN rate=0.003 fault=1 "
            "fault_margin_db=-8 fault_flaps=32 watchdog=20000 adapt=1 seed=1 "
            "adapt_seed=1 warmup=2000 measure=300000 fault_horizon=300000 "
@@ -239,7 +238,7 @@ constexpr char kEveryKey[] =
     "topology=cmesh cores=64 pattern=BR rate=0.006 config=2 "
     "scenario=conservative warmup=700 measure=1700 drain=9000 packet_flits=3 "
     "seed=11 concentration=2 vcs=6 buffer_depth=5 clock_ghz=2.5 "
-    "ideal_arbitration=1 o1turn=1 flit_bits=64 kernel=lockstep threads=2 "
+    "ideal_arbitration=1 o1turn=1 flit_bits=64 kernel=lockstep "
     "fault=1 fault_seed=13 fault_ber=1e-9 fault_margin_db=-3 "
     "fault_flaps=3 fault_flap_down=150 fault_horizon=5000 "
     "fault_kill=1:5@700 fault_token_loss=2@900:never watchdog=5000 adapt=1 "
@@ -277,9 +276,8 @@ TEST(CanonicalConfig, EveryKeyReachesTheCacheKeyAndRoundTrips) {
         canonical_config_json(parse_experiment_config(one));
     // parse -> dump through the generic Json layer is a no-op.
     EXPECT_EQ(Json::parse(json).dump(), json) << key;
-    // The kernel knobs are result-neutral (§5e): the same experiment.
-    const bool neutral = key == "kernel" || key == "threads";
-    EXPECT_EQ(json == default_json, neutral) << key;
+    // The kernel knob is result-neutral (§5e): the same experiment.
+    EXPECT_EQ(json == default_json, key == "kernel") << key;
   }
 }
 

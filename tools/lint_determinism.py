@@ -14,7 +14,7 @@ lint fails if first-party code reintroduces a nondeterministic source:
 The absolute bans above apply to every scanned tree (src, tests, bench,
 examples). Two further rules are path-scoped, with their scopes and
 exemptions declared in the SCOPED_RULES table below: steady_clock is
-telemetry-only (src/exec, src/metrics), and literal Rng seeds are banned
+telemetry-only (src/metrics), and literal Rng seeds are banned
 not just in src/ but also in the shipped drivers under bench/ and
 examples/ — a benchmark that pins a seed literal correlates its streams
 exactly like library code would. Unit tests keep the right to pin seeds on
@@ -78,10 +78,10 @@ SCOPED_RULES: tuple[ScopedRule, ...] = (
     ScopedRule(
         pattern=re.compile(r"\bstd::chrono::steady_clock\b"),
         message="steady_clock is only allowed in telemetry code under "
-                "src/exec/ or src/metrics/ (and in the harnesses under "
+                "src/metrics/ (and in the harnesses under "
                 "tests/, bench/, examples/ that time themselves)",
         applies_to=("src/",),
-        allowed=("src/exec/", "src/metrics/"),
+        allowed=("src/metrics/",),
     ),
     # An Rng constructed from a literal would silently correlate streams;
     # first-party code AND the shipped drivers (bench/, examples/) must
